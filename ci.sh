@@ -26,11 +26,10 @@ run_suite "fault-injection smoke (sequential)" \
 run_suite "fault-injection smoke (portfolio)" \
   cargo run --release -p pug-bench --bin repro-tables -- --portfolio --fault-injection
 # Perf smoke: runs multi-obligation equivalence rows through the
-# incremental, one-shot, and pooled (obligation parallelism 4) backends,
-# exits non-zero if any verdict diverges across the three, and gates each
-# row's incremental wall time against the committed baseline (>10% + 50 ms
-# slack counts as a regression; rows absent from the quick grid are
-# reported, not gated). Also runs the rung-improvement grid and exits
+# incremental and one-shot backends, exits non-zero if any verdict
+# diverges between the two, and gates each row's incremental wall time
+# against the committed baseline (>10% + 50 ms slack counts as a
+# regression; rows absent from the quick grid are reported, not gated). Also runs the rung-improvement grid and exits
 # non-zero unless at least one row's answering rung gets strictly
 # stronger with the generalized quantifier elimination on, verdicts
 # agreeing.
@@ -49,14 +48,6 @@ run_suite "qelim smoke" \
   cargo test -q --test qelim_differential
 run_suite "race-replay smoke" \
   cargo test -q --test race_witness_replay
-# Obligation-parallel smoke: the differential suite proving the pooled
-# per-array screen is bit-identical to the sequential loop — corpus pairs
-# at pool widths 2 and 8 on both backends, plus the engagement check that
-# a multi-output pair actually forks worker sessions (and that a decisive
-# screen falls back to the sequential answer).
-run_suite "obligation-parallel smoke" \
-  cargo test -q --test obligation_parallel_differential -- \
-    pooled_matches_sequential_on_corpus pooled_screen_engages_and_merges_deterministically
 # Canonicalization smoke: the differential suite proving normalize-on and
 # normalize-off report the same verdicts and outcome classes on the corpus,
 # plus the cache-effectiveness regression against the pre-normalization
@@ -71,14 +62,18 @@ run_suite "cache-effectiveness gate" \
 # closes, strictly increasing sequence). Non-zero exit on a broken trace.
 run_suite "trace smoke" \
   cargo run --release -p pug-bench --bin repro-tables -- --trace /tmp/pug_trace_ci.jsonl
-# Service smoke: starts the pug-serve daemon on an ephemeral port with
-# per-job obligation parallelism 2 (weighted admission), runs corpus jobs
-# over the wire (including one with an armed runner failpoint), asserts
-# verdicts byte-identical to the sequential in-process runner, checks the
-# /metrics endpoint, and times a graceful shutdown. Non-zero exit on any
-# disagreement or a dirty drain.
+# Service smoke: starts the pug-serve daemon on an ephemeral port at the
+# default config, runs corpus jobs over the wire (including one with an
+# armed runner failpoint), asserts verdicts byte-identical to the
+# in-process runner, checks the /metrics endpoint, and times a graceful
+# shutdown. Non-zero exit on any disagreement or a dirty drain.
 run_suite "serve smoke" \
   cargo run --release -p pug-serve -- --smoke
+# Benchmark self-test: `pugbench` is its own workspace and builds against
+# the library crates, so an API change that breaks it only shows here. Its
+# tests run every workload end to end in quick mode against the daemon.
+run_suite "pugbench self-test" \
+  cargo test --release --manifest-path benchmark/Cargo.toml
 
 echo
 echo "== wall-clock summary"

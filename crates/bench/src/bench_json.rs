@@ -11,18 +11,15 @@
 //! pay the session's larger live CNF without earning anything back; the
 //! grid keeps them for honesty).
 //!
-//! Every scenario runs three times: once through the persistent
+//! Every scenario runs twice: once through the persistent
 //! [`pug_smt::SolveSession`] backend with a shared per-row [`QueryCache`]
-//! (`CheckOptions::default()`, what the runner/portfolio entry points use),
-//! once through the one-shot `check_detailed` path
-//! (`CheckOptions::one_shot()`, no cache), and once incrementally with the
-//! intra-rung obligation pool (`with_obligation_parallelism(4)`) — the
-//! `obl_par` object, with a `pool` sibling recording sessions forked,
-//! learnt-exchange traffic and per-shard cache hits. Per-stage timings
+//! (`CheckOptions::default()`, what the runner/portfolio entry points use)
+//! and once through the one-shot `check_detailed` path
+//! (`CheckOptions::one_shot()`, no cache). Per-stage timings
 //! (reduce / blast / solve), cache hit rates and clause reuse go out as
 //! JSON so the repo has a perf trajectory later PRs can diff. Phase-for-
-//! phase verdict agreement between the three modes is the correctness
-//! smoke: the caller exits non-zero when any row diverges.
+//! phase verdict agreement between the two modes is the correctness smoke:
+//! the caller exits non-zero when any row diverges.
 //!
 //! A second, smaller grid (`rung_rows`) measures what the generalized
 //! (Presburger) quantifier elimination buys: each pair runs through the
@@ -235,35 +232,8 @@ fn verdict_class(v: Option<&Verdict>) -> &'static str {
     }
 }
 
-/// Pool-engagement numbers of one pooled run of one row (all phases),
-/// harvested from a live [`MetricsRegistry`] and the shared cache's shard
-/// counters.
-#[derive(Default)]
-struct PoolMetrics {
-    sessions: u64,
-    obligations_parallel: u64,
-    obligations_fallback: u64,
-    learnts_exchanged: u64,
-    learnts_imported: u64,
-    shard_hits: Vec<u64>,
-    cache_contended: u64,
-}
-
 fn run_mode(spec: &RowSpec, timeout: Duration, incremental: bool) -> ModeMetrics {
-    run_mode_pooled(spec, timeout, incremental, 0).0
-}
-
-/// Run a row with an explicit obligation-pool width (`0` = plain
-/// sequential dispatch) and collect the pool counters alongside the usual
-/// per-mode metrics.
-fn run_mode_pooled(
-    spec: &RowSpec,
-    timeout: Duration,
-    incremental: bool,
-    pool: usize,
-) -> (ModeMetrics, PoolMetrics) {
     let cache = incremental.then(QueryCache::new);
-    let registry = (pool > 0).then(pug_obs::MetricsRegistry::new);
     let mk = |mode: Mode| {
         let mut o = CheckOptions::with_timeout(timeout);
         o.mode = mode;
@@ -272,12 +242,6 @@ fn run_mode_pooled(
         }
         if let Some(c) = &cache {
             o = o.with_query_cache(c.clone());
-        }
-        if pool > 0 {
-            o = o.with_obligation_parallelism(pool);
-        }
-        if let Some(r) = &registry {
-            o = o.with_metrics(r.clone());
         }
         o
     };
@@ -315,24 +279,7 @@ fn run_mode_pooled(
         m.cache_hits = c.hits();
         m.cache_misses = c.misses();
     }
-    let mut p = PoolMetrics::default();
-    if let Some(r) = &registry {
-        let snap = r.snapshot();
-        p.sessions = snap.gauge("pool.sessions").unwrap_or(0);
-        p.obligations_parallel = snap.counter("obligations.parallel");
-        p.obligations_fallback = snap.counter("obligations.fallback");
-        p.learnts_exchanged = snap.counter("learnts.exchanged");
-        p.learnts_imported = snap.counter("learnts.imported");
-    }
-    if pool > 0 {
-        if let Some(c) = &cache {
-            for s in c.shard_stats() {
-                p.shard_hits.push(s.hits);
-                p.cache_contended += s.contended;
-            }
-        }
-    }
-    (m, p)
+    m
 }
 
 fn json_mode(out: &mut String, key: &str, m: &ModeMetrics) {
@@ -362,34 +309,6 @@ fn json_mode(out: &mut String, key: &str, m: &ModeMetrics) {
         m.clauses_subsumed,
         m.clauses_vivified,
         m.gates_hashconsed,
-    );
-}
-
-/// The pool-engagement object emitted next to `obl_par`: how wide the
-/// obligation pool actually got, exchange traffic, and per-shard cache
-/// hits (only shards that saw traffic, as `[index, hits]` pairs, to keep
-/// the document readable).
-fn json_pool(out: &mut String, p: &PoolMetrics) {
-    let shard_hits: Vec<String> = p
-        .shard_hits
-        .iter()
-        .enumerate()
-        .filter(|(_, h)| **h > 0)
-        .map(|(i, h)| format!("[{i}, {h}]"))
-        .collect();
-    let _ = write!(
-        out,
-        "    \"pool\": {{\"sessions\": {}, \"obligations_parallel\": {}, \
-         \"obligations_fallback\": {}, \"learnts_exchanged\": {}, \
-         \"learnts_imported\": {}, \"cache_contended\": {}, \
-         \"shard_hits\": [{}]}}",
-        p.sessions,
-        p.obligations_parallel,
-        p.obligations_fallback,
-        p.learnts_exchanged,
-        p.learnts_imported,
-        p.cache_contended,
-        shard_hits.join(", "),
     );
 }
 
@@ -494,9 +413,7 @@ pub fn bench_json_report(timeout: Duration, quick: bool) -> BenchJsonReport {
         let inc = run_mode(spec, timeout, true);
         eprintln!("bench-json: {} (one-shot)", spec.name);
         let one = run_mode(spec, timeout, false);
-        eprintln!("bench-json: {} (obligation pool=4)", spec.name);
-        let (par, pool) = run_mode_pooled(spec, timeout, true, 4);
-        let rows_agree = inc.verdict == one.verdict && inc.verdict == par.verdict;
+        let rows_agree = inc.verdict == one.verdict;
         if rows_agree {
             agree += 1;
         }
@@ -512,10 +429,6 @@ pub fn bench_json_report(timeout: Duration, quick: bool) -> BenchJsonReport {
         json_mode(&mut json, "incremental", &inc);
         json.push_str(",\n");
         json_mode(&mut json, "one_shot", &one);
-        json.push_str(",\n");
-        json_mode(&mut json, "obl_par", &par);
-        json.push_str(",\n");
-        json_pool(&mut json, &pool);
         json.push('\n');
         json.push_str(if i + 1 == specs.len() { "  }\n" } else { "  },\n" });
     }

@@ -31,26 +31,12 @@ pub fn explain_corpus(quick: bool, aux_passes: bool) -> Vec<(String, ResilientRe
         .collect()
 }
 
-/// Render the explain narrative (with times) for every corpus pair. Runs
-/// with the obligation pool enabled and a live registry so each narrative
-/// ends with the `parallelism:` section (pool engagement, learnt-exchange
-/// traffic, cache sharding).
+/// Render the explain narrative (with times) for every corpus pair.
 pub fn explain_rows(quick: bool) -> String {
     let mut out = String::new();
-    for p in crate::portfolio::grid(quick) {
-        let metrics = MetricsRegistry::new();
-        let opts = p
-            .opts
-            .with_aux_passes()
-            .with_metrics(metrics.clone())
-            .with_obligation_parallelism(4);
-        let report = run_resilient(&p.src, &p.tgt, &p.cfg, &opts);
-        out.push_str(&format!("=== {} ===\n", p.name));
-        out.push_str(&pugpara::explain_full(
-            &report,
-            &metrics.snapshot(),
-            &pugpara::ExplainOptions::default(),
-        ));
+    for (name, report) in explain_corpus(quick, true) {
+        out.push_str(&format!("=== {name} ===\n"));
+        out.push_str(&pugpara::explain_report(&report));
         out.push('\n');
     }
     out

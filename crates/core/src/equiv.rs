@@ -33,17 +33,13 @@ use pug_ir::{
     align_headers, normalize_header, split_bis, Alignment, BoundConfig, GpuConfig, LoopSpace,
     Segment,
 };
-use crate::portfolio::{QueryCache, WorkerPool};
-use pug_obs::{MetricsRegistry, MetricsSnapshot, TraceSpan};
+use crate::portfolio::QueryCache;
+use pug_obs::{MetricsRegistry, TraceSpan};
 use pug_smt::{
-    assert_fingerprint, check_detailed_with, Budget, CancelToken, CheckStats, Ctx, LearntRing, Op,
+    assert_fingerprint, check_detailed_with, Budget, CancelToken, CheckStats, Ctx, Op,
     SimplifyConfig, SmtResult, SolveSession, Sort, TermId,
 };
 use std::collections::{HashMap, HashSet};
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc::channel;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Checking mode (paper §IV-A / §IV-D).
@@ -102,22 +98,6 @@ pub struct CheckOptions {
     /// calls. On by default; the differential suites turn it off to
     /// cross-check verdicts against the raw-term path.
     pub normalize: bool,
-    /// Intra-rung obligation parallelism: how many pooled [`SolveSession`]
-    /// workers race the per-array obligations of one region comparison.
-    /// `0` (the default) resolves to the machine's available parallelism;
-    /// the effective width is always capped at the number of output
-    /// arrays, and widths below two take the plain sequential path. The
-    /// pooled path screens the arrays concurrently and, on any decisive
-    /// outcome (bug, timeout, error), discards the screen and re-runs the
-    /// sequential loop — so verdicts, witnesses and provenance are
-    /// bit-identical to `sequential()` by construction.
-    pub obligation_parallelism: usize,
-    /// Bounded learnt-clause exchange between pooled workers: short
-    /// prefix-only learnts are published to a shared ring and imported at
-    /// restart boundaries. Only affects solver-internal effort on the
-    /// pooled screen (never verdicts — see DESIGN.md §5). On by default;
-    /// meaningless when the check is sequential or one-shot.
-    pub learnt_exchange: bool,
     /// Generalized (Presburger / Omega-test-lite) quantifier elimination:
     /// symbolic-stride loop memberships and affine witness inversions that
     /// the monotone-only `qelim` machinery cannot express. On by default;
@@ -143,8 +123,6 @@ impl Default for CheckOptions {
             metrics: MetricsRegistry::disabled(),
             simplify: SimplifyConfig::default(),
             normalize: true,
-            obligation_parallelism: 0,
-            learnt_exchange: true,
             generalized_qelim: true,
         }
     }
@@ -208,25 +186,6 @@ impl CheckOptions {
     /// raw constructor-built terms.
     pub fn no_normalize(mut self) -> CheckOptions {
         self.normalize = false;
-        self
-    }
-
-    /// Force the plain sequential obligation loop (the escape hatch for
-    /// debugging and differential testing the pooled path against).
-    pub fn sequential(mut self) -> CheckOptions {
-        self.obligation_parallelism = 1;
-        self
-    }
-
-    /// Pin the obligation pool width (`0` = auto-detect from the machine).
-    pub fn with_obligation_parallelism(mut self, n: usize) -> CheckOptions {
-        self.obligation_parallelism = n;
-        self
-    }
-
-    /// Disable learnt-clause exchange between pooled workers.
-    pub fn without_learnt_exchange(mut self) -> CheckOptions {
-        self.learnt_exchange = false;
         self
     }
 
@@ -297,54 +256,9 @@ pub(crate) struct Session {
     /// so entries stay valid across queries and epochs).
     norm: pug_smt::normalize::Normalizer,
     normalize: bool,
-    /// Requested obligation pool width (`0` = auto); resolved per region
-    /// comparison against the number of output arrays.
-    obl_par: usize,
-    learnt_exchange: bool,
     /// Generalized (Presburger) quantifier elimination enabled for this
     /// session (see [`CheckOptions::generalized_qelim`]).
     generalized_qelim: bool,
-    /// Deferred cache accounting, present only on pooled *worker* sessions:
-    /// lookups read the shared cache uncounted plus a per-array local set,
-    /// and every op is logged for deterministic replay at merge time.
-    overlay: Option<CacheOverlay>,
-    /// The lazily-created obligation worker pool. Distinct from the
-    /// portfolio's rung pool on purpose: a rung job blocking on its own
-    /// pool's queue would deadlock if both drew from one set of threads.
-    obl_pool: Option<WorkerPool>,
-}
-
-/// One deferred cache operation of a pooled worker, replayed on the shared
-/// [`QueryCache`] in deterministic (array-index) order at merge time.
-#[derive(Clone, Copy, Debug)]
-enum CacheOp {
-    /// A lookup that was answered from `local ∪ shared` without counting;
-    /// replay bumps the owning shard's hit/miss counter.
-    Lookup { fp: u128, hit: bool },
-    /// A proven-unsat fingerprint recorded locally; replay inserts it into
-    /// the shared cache.
-    Record(u128),
-}
-
-/// Worker-session cache mode: reads go through the *frozen* shared cache
-/// plus a per-array local set (so an array's outcome classes depend only
-/// on the array itself, never on which worker ran it or what its pool
-/// siblings solved first), writes stay local, and everything is logged.
-#[derive(Default)]
-struct CacheOverlay {
-    ops: Vec<CacheOp>,
-    local: HashSet<u128>,
-}
-
-/// Master-session state saved across a pooled screen (see
-/// [`Session::snapshot`]).
-struct SessionSnapshot {
-    ctx: Ctx,
-    solve: SolveSession,
-    committed: HashSet<TermId>,
-    canon_memo: HashMap<TermId, u128>,
-    norm: pug_smt::normalize::Normalizer,
-    soundness: Soundness,
 }
 
 /// Internal control flow: `Some` means stop with this verdict.
@@ -401,11 +315,7 @@ impl Session {
             simplify: opts.simplify.clone(),
             norm: pug_smt::normalize::Normalizer::new(),
             normalize: opts.normalize,
-            obl_par: opts.obligation_parallelism,
-            learnt_exchange: opts.learnt_exchange,
             generalized_qelim: opts.generalized_qelim,
-            overlay: None,
-            obl_pool: None,
         }
     }
 
@@ -631,16 +541,7 @@ impl Session {
             None
         };
         if let (Some(cache), Some(f)) = (&self.cache, fp) {
-            let hit = match self.overlay.as_mut() {
-                // Worker mode: uncounted read of frozen-shared ∪ local,
-                // logged for deterministic replay at merge.
-                Some(ov) => {
-                    let hit = ov.local.contains(&f) || cache.contains(f);
-                    ov.ops.push(CacheOp::Lookup { fp: f, hit });
-                    hit
-                }
-                None => cache.lookup_unsat(f),
-            };
+            let hit = cache.lookup_unsat(f);
             if self.metrics.is_enabled() {
                 // Per-lookup monotonic counters: the end-of-run
                 // `cache.publish` gauges are overwritten by whoever
@@ -676,13 +577,7 @@ impl Session {
         };
         if let (Some(cache), Some(f)) = (&self.cache, fp) {
             if r.is_unsat() {
-                match self.overlay.as_mut() {
-                    Some(ov) => {
-                        ov.local.insert(f);
-                        ov.ops.push(CacheOp::Record(f));
-                    }
-                    None => cache.record_unsat(f),
-                }
+                cache.record_unsat(f);
             }
         }
         let outcome = match &r {
@@ -707,96 +602,6 @@ impl Session {
             stats,
         });
         r
-    }
-
-    /// Resolve the effective obligation pool width for `n_arrays`
-    /// independent obligations: `0` means auto (machine parallelism),
-    /// always capped at `n_arrays`. Widths below two mean "stay
-    /// sequential".
-    fn pool_width(&self, n_arrays: usize) -> usize {
-        let requested = if self.obl_par == 0 {
-            std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-        } else {
-            self.obl_par
-        };
-        requested.min(n_arrays)
-    }
-
-    /// The lazily-created obligation pool, grown to at least `members`
-    /// threads. Reused across segments/arrays of the same check.
-    fn obligation_pool(&mut self, members: usize) -> &WorkerPool {
-        if self.obl_pool.as_ref().is_none_or(|p| p.threads() < members) {
-            self.obl_pool = Some(WorkerPool::new(members));
-        }
-        self.obl_pool.as_ref().expect("pool just ensured")
-    }
-
-    /// Everything the sequential fallback needs to behave as if the pooled
-    /// screen never happened: the term DAG (including the fresh-name
-    /// counter), the incremental solver, the committed set and both memo
-    /// tables. Taken *before* pre-resolving, restored on any decisive
-    /// screen outcome.
-    fn snapshot(&self) -> SessionSnapshot {
-        SessionSnapshot {
-            ctx: self.ctx.clone(),
-            solve: self.solve.clone(),
-            committed: self.committed.clone(),
-            canon_memo: self.canon_memo.clone(),
-            norm: self.norm.clone(),
-            soundness: self.soundness,
-        }
-    }
-
-    fn restore(&mut self, snap: SessionSnapshot) {
-        self.ctx = snap.ctx;
-        self.solve = snap.solve;
-        self.committed = snap.committed;
-        self.canon_memo = snap.canon_memo;
-        self.norm = snap.norm;
-        self.soundness = snap.soundness;
-    }
-
-    /// Fork a pooled worker session: a full replica of the master's solver
-    /// state (committed prefix CNF, gate cache, canonicalizer memos) over a
-    /// clone of the term DAG, so every master `TermId` resolves identically
-    /// in the worker. The worker runs under its own budget slice (child
-    /// cancel token), records no trace (the master synthesizes the spans at
-    /// merge), uses the deferred cache overlay, and — when a ring is given —
-    /// exchanges short prefix-only learnt clauses with its siblings.
-    fn fork_worker(&self, budget: Budget, ring: Option<(&Arc<LearntRing>, usize)>) -> Session {
-        let mut solve = self.solve.clone();
-        if let Some((ring, member)) = ring {
-            solve.attach_exchange(
-                ring.clone(),
-                member,
-                pug_sat::exchange::DEFAULT_EXPORT_MAX_LEN,
-            );
-        }
-        Session {
-            ctx: self.ctx.clone(),
-            budget,
-            queries: Vec::new(),
-            conc: self.conc.clone(),
-            bits: self.bits,
-            soundness: self.soundness,
-            mode: self.mode,
-            solve,
-            committed: self.committed.clone(),
-            incremental: self.incremental,
-            cache: self.cache.clone(),
-            canon_memo: self.canon_memo.clone(),
-            trace: TraceSpan::disabled(),
-            seg_stack: Vec::new(),
-            metrics: MetricsRegistry::disabled(),
-            simplify: self.simplify.clone(),
-            norm: self.norm.clone(),
-            normalize: self.normalize,
-            obl_par: 1,
-            learnt_exchange: false,
-            generalized_qelim: self.generalized_qelim,
-            overlay: self.cache.as_ref().map(|_| CacheOverlay::default()),
-            obl_pool: None,
-        }
     }
 
     /// Feed one query's statistics into the metrics registry.
@@ -826,7 +631,6 @@ impl Session {
         m.add("sat.decisions", stats.sat.decisions);
         m.add("sat.restarts", stats.sat.restarts);
         m.add("sat.learnt_clauses", stats.sat.learnt_clauses);
-        m.add("sat.learnts_imported", stats.sat.learnts_imported);
         m.add("sat.vars_eliminated", stats.sat.vars_eliminated);
         m.add("sat.clauses_subsumed", stats.sat.clauses_subsumed);
         m.add("sat.clauses_vivified", stats.sat.clauses_vivified);
@@ -986,11 +790,7 @@ fn whole_kernel_equiv(
 }
 
 /// The term-level plan for one output array's obligations: everything
-/// [`check_array`] needs, built by [`resolve_array`] **on the master
-/// context** so the fresh-name trajectory (`k!…`, `obs!…`, resolver
-/// internals) is identical whether the checks then run sequentially or on
-/// pooled workers (worker contexts are clones, so every `TermId` here
-/// resolves identically there).
+/// [`check_array`] needs, built by [`resolve_array`].
 struct ArrayPlan {
     array: String,
     k: TermId,
@@ -1005,8 +805,8 @@ struct ArrayPlan {
 /// Build the [`ArrayPlan`] for `array`: fresh comparison index, one shared
 /// observer thread, both sides' CA-chain resolution and the observer-range
 /// premises. This is the only part of an array's check that allocates
-/// fresh variables; the query goals themselves are built lazily in
-/// [`check_array`] from pure (hash-consed, name-free) term construction.
+/// fresh variables (`k!…`, `obs!…`, resolver internals); the query goals
+/// themselves are built in [`check_array`].
 fn resolve_array(
     sess: &mut Session,
     bound: &BoundConfig,
@@ -1171,15 +971,10 @@ fn check_array(
     Ok(None)
 }
 
-/// Compare two extracted regions on the given output arrays.
-///
-/// With two or more output arrays and an obligation pool width ≥ 2
-/// ([`CheckOptions::obligation_parallelism`]), the arrays are *screened*
-/// concurrently by pooled worker sessions; any decisive screen outcome
-/// falls back to this sequential loop on untouched master state, so the
-/// two paths are observationally identical (see
-/// [`compare_regions_pooled`]).
-#[allow(clippy::too_many_arguments)]
+/// Compare two extracted regions on the given output arrays, one array
+/// after another in one solver context: each array is resolved, then its
+/// value and coverage obligations are discharged, and the first decisive
+/// outcome (bug, timeout) stops the comparison.
 fn compare_regions(
     sess: &mut Session,
     bound: &BoundConfig,
@@ -1189,265 +984,6 @@ fn compare_regions(
     base: &[TermId],
     extra: &[TermId],
 ) -> Result<Stop, Error> {
-    let members = sess.pool_width(outputs.len());
-    if members >= 2 {
-        return compare_regions_pooled(
-            sess, bound, region_s, region_t, outputs, base, extra, members,
-        );
-    }
-    for array in outputs {
-        let plan = resolve_array(sess, bound, region_s, region_t, array);
-        sess.note_ca_chain(
-            &plan.array,
-            plan.out_s.insts.len(),
-            plan.out_t.insts.len(),
-            plan.obs_s.len() + plan.obs_t.len(),
-        );
-        if let Some(v) = check_array(sess, bound, &plan, region_s, region_t, base, extra)? {
-            return Ok(Some(v));
-        }
-    }
-    Ok(None)
-}
-
-/// One pooled worker's report for a clean (no-verdict) array.
-struct CleanArray {
-    queries: Vec<QueryStat>,
-    cache_ops: Vec<CacheOp>,
-    metrics: Option<MetricsSnapshot>,
-    downgraded: bool,
-}
-
-/// Message from a pooled worker to the coordinating master.
-enum WorkerMsg {
-    /// Array `index` screened clean, with its deferred effects.
-    Clean { index: usize, out: Box<CleanArray> },
-    /// Array `index` hit a decisive outcome (bug, timeout, error or
-    /// panic). The payload is irrelevant: the master discards the whole
-    /// screen and re-runs sequentially.
-    Decisive,
-    /// Worker `member` finished (its budget slice is dead).
-    Done,
-}
-
-/// Immutable inputs shared by every pooled worker.
-struct PooledShared {
-    bound: BoundConfig,
-    region_s: ParamRegion,
-    region_t: ParamRegion,
-    base: Vec<TermId>,
-    extra: Vec<TermId>,
-    plans: Vec<ArrayPlan>,
-    /// Next unclaimed array index (work stealing by atomic increment).
-    next: AtomicUsize,
-    /// Raised on the first decisive outcome: idle workers stop pulling.
-    abort: AtomicBool,
-}
-
-/// The pooled obligation screen: fork one worker [`Session`] per pool
-/// member off the master's committed state, race the per-array checks
-/// across them, and
-///
-/// * **all clean** → merge the workers' deferred effects (query stats,
-///   cache ops, metrics, soundness downgrades) into the master in array
-///   index order — deterministic regardless of scheduling, because each
-///   array's outcome depends only on the frozen shared state and the
-///   array itself;
-/// * **any decisive** (bug / timeout / error / worker panic) → cancel the
-///   pool, restore the master to its pre-screen snapshot and run the
-///   plain sequential loop, which is authoritative: witnesses, provenance
-///   and metrics are bit-identical to a sequential run by construction
-///   (injected faults are sticky, so they reproduce identically in the
-///   re-run).
-#[allow(clippy::too_many_arguments)]
-fn compare_regions_pooled(
-    sess: &mut Session,
-    bound: &BoundConfig,
-    region_s: &ParamRegion,
-    region_t: &ParamRegion,
-    outputs: &[String],
-    base: &[TermId],
-    extra: &[TermId],
-    members: usize,
-) -> Result<Stop, Error> {
-    let snap = sess.snapshot();
-    // Pre-resolve every array on the master, in output order: exactly the
-    // fresh-variable trajectory of the sequential loop (`check_array`
-    // allocates no fresh names), so fingerprints and witness terms match.
-    let plans: Vec<ArrayPlan> =
-        outputs.iter().map(|a| resolve_array(sess, bound, region_s, region_t, a)).collect();
-    let n_arrays = plans.len();
-    let counts: Vec<(usize, usize, usize)> = plans
-        .iter()
-        .map(|p| (p.out_s.insts.len(), p.out_t.insts.len(), p.obs_s.len() + p.obs_t.len()))
-        .collect();
-
-    let ring = (sess.incremental && sess.learnt_exchange)
-        .then(|| Arc::new(LearntRing::new(pug_sat::exchange::DEFAULT_RING_CAPACITY)));
-    let budgets = sess.budget.split(members);
-    let tokens: Vec<CancelToken> = budgets.iter().map(|b| b.cancel.clone()).collect();
-    let shared = Arc::new(PooledShared {
-        bound: bound.clone(),
-        region_s: region_s.clone(),
-        region_t: region_t.clone(),
-        base: base.to_vec(),
-        extra: extra.to_vec(),
-        plans,
-        next: AtomicUsize::new(0),
-        abort: AtomicBool::new(false),
-    });
-    let metrics_on = sess.metrics.is_enabled();
-    let (tx, rx) = channel::<WorkerMsg>();
-
-    let mut jobs: Vec<Box<dyn FnOnce() + Send + 'static>> = Vec::with_capacity(members);
-    for (member, budget) in budgets.into_iter().enumerate() {
-        let worker = sess.fork_worker(budget, ring.as_ref().map(|r| (r, member)));
-        let shared = Arc::clone(&shared);
-        let tx = tx.clone();
-        jobs.push(Box::new(move || {
-            // The unwind guard covers the whole pull loop: whatever
-            // happens, `Done` is sent so the master never waits forever.
-            let mut worker = worker;
-            let _ = catch_unwind(AssertUnwindSafe(|| {
-                let fork_soundness = worker.soundness;
-                loop {
-                    if shared.abort.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    let i = shared.next.fetch_add(1, Ordering::Relaxed);
-                    let Some(plan) = shared.plans.get(i) else { break };
-                    worker.queries.clear();
-                    worker.soundness = fork_soundness;
-                    if let Some(ov) = worker.overlay.as_mut() {
-                        ov.ops.clear();
-                        ov.local.clear();
-                    }
-                    worker.metrics =
-                        if metrics_on { MetricsRegistry::new() } else { MetricsRegistry::disabled() };
-                    let r = catch_unwind(AssertUnwindSafe(|| {
-                        check_array(
-                            &mut worker,
-                            &shared.bound,
-                            plan,
-                            &shared.region_s,
-                            &shared.region_t,
-                            &shared.base,
-                            &shared.extra,
-                        )
-                    }));
-                    match r {
-                        Ok(Ok(None)) => {
-                            let out = CleanArray {
-                                queries: std::mem::take(&mut worker.queries),
-                                cache_ops: worker
-                                    .overlay
-                                    .as_mut()
-                                    .map(|ov| std::mem::take(&mut ov.ops))
-                                    .unwrap_or_default(),
-                                metrics: metrics_on.then(|| worker.metrics.snapshot()),
-                                downgraded: worker.soundness == Soundness::UnderApprox
-                                    && fork_soundness != Soundness::UnderApprox,
-                            };
-                            if tx.send(WorkerMsg::Clean { index: i, out: Box::new(out) }).is_err() {
-                                break;
-                            }
-                        }
-                        // Bug/timeout verdict, error, or a panic inside the
-                        // check: all decisive — the master re-runs anyway,
-                        // so the payload is dropped here.
-                        Ok(Ok(Some(_))) | Ok(Err(_)) | Err(_) => {
-                            shared.abort.store(true, Ordering::Relaxed);
-                            let _ = tx.send(WorkerMsg::Decisive);
-                            break;
-                        }
-                    }
-                }
-            }));
-            let _ = tx.send(WorkerMsg::Done);
-        }));
-    }
-    drop(tx);
-    {
-        let pool = sess.obligation_pool(members);
-        for job in jobs {
-            pool.submit(job);
-        }
-    }
-
-    let mut clean: Vec<Option<Box<CleanArray>>> = (0..n_arrays).map(|_| None).collect();
-    let mut decisive = false;
-    let mut done = 0usize;
-    while done < members {
-        match rx.recv() {
-            Ok(WorkerMsg::Clean { index, out }) => clean[index] = Some(out),
-            Ok(WorkerMsg::Decisive) => {
-                if !decisive {
-                    decisive = true;
-                    for t in &tokens {
-                        t.cancel();
-                    }
-                }
-            }
-            Ok(WorkerMsg::Done) => done += 1,
-            // All senders dropped without `members` Done messages: a pool
-            // thread died outside the unwind guard. Treat as decisive.
-            Err(_) => {
-                decisive = true;
-                break;
-            }
-        }
-    }
-
-    if !decisive && clean.iter().all(Option::is_some) {
-        // Deterministic merge, in array index order.
-        sess.metrics.set_gauge("pool.sessions", members as u64);
-        sess.metrics.add("obligations.parallel", n_arrays as u64);
-        if let Some(ring) = &ring {
-            sess.metrics.add("learnts.exchanged", ring.exported());
-            sess.metrics.add("learnts.imported", ring.imported());
-        }
-        for (i, slot) in clean.into_iter().enumerate() {
-            let out = *slot.expect("checked all clean");
-            let (is_, it, ob) = counts[i];
-            sess.note_ca_chain(&outputs[i], is_, it, ob);
-            for op in &out.cache_ops {
-                if let Some(cache) = &sess.cache {
-                    match *op {
-                        CacheOp::Lookup { fp, hit } => cache.note_lookup(fp, hit),
-                        CacheOp::Record(fp) => cache.record_unsat(fp),
-                    }
-                }
-            }
-            if sess.trace.is_enabled() {
-                // Synthetic spans: the workers traced nothing, so the
-                // master replays one `query:` span per merged query to
-                // keep traces structurally equivalent to sequential runs.
-                for q in &out.queries {
-                    let g = sess.current_span().child_guard(&format!("query:{}", q.label));
-                    g.finish(vec![
-                        ("outcome", q.outcome.clone().into()),
-                        ("us", (q.duration.as_micros() as u64).into()),
-                        ("pooled", 1u64.into()),
-                    ]);
-                }
-            }
-            if let Some(snapshot) = &out.metrics {
-                sess.metrics.merge_from(snapshot);
-            }
-            if out.downgraded {
-                sess.soundness = Soundness::UnderApprox;
-            }
-            sess.queries.extend(out.queries);
-        }
-        return Ok(None);
-    }
-
-    // Decisive (or lost) screen: throw it away and answer sequentially on
-    // the restored master. Sticky injected faults and real bugs reproduce
-    // identically; spurious worker-only failures (budget-slice exhaustion)
-    // are absorbed.
-    sess.restore(snap);
-    sess.metrics.incr("obligations.fallback");
     for array in outputs {
         let plan = resolve_array(sess, bound, region_s, region_t, array);
         sess.note_ca_chain(

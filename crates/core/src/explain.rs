@@ -45,54 +45,6 @@ pub fn explain_report(report: &ResilientReport) -> String {
     explain_with(report, &ExplainOptions::default())
 }
 
-/// Render the narrative plus a `parallelism:` section sourced from a
-/// [`MetricsSnapshot`] of the run's registry: obligation-pool engagement
-/// (sessions forked, arrays screened in parallel, decisive fallbacks),
-/// learnt-clause exchange traffic, and query-cache sharding/contention.
-/// Everything here varies with the machine, so the section obeys
-/// [`ExplainOptions::show_times`].
-pub fn explain_full(
-    report: &ResilientReport,
-    metrics: &pug_obs::MetricsSnapshot,
-    opts: &ExplainOptions,
-) -> String {
-    let mut out = explain_with(report, opts);
-    if !opts.show_times {
-        return out;
-    }
-    let _ = writeln!(out, "\nparallelism:");
-    let sessions = metrics.gauge("pool.sessions").unwrap_or(0);
-    if sessions == 0 {
-        let _ = writeln!(
-            out,
-            "  obligation pool not engaged (single array, width 1, or sequential())"
-        );
-    } else {
-        let _ = writeln!(
-            out,
-            "  obligation pool: {} worker sessions, {} arrays screened in parallel, \
-             {} decisive fallbacks to sequential",
-            sessions,
-            metrics.counter("obligations.parallel"),
-            metrics.counter("obligations.fallback"),
-        );
-        let _ = writeln!(
-            out,
-            "  learnt exchange: {} clauses exported, {} imported",
-            metrics.counter("learnts.exchanged"),
-            metrics.counter("learnts.imported"),
-        );
-    }
-    if let Some(shards) = metrics.gauge("cache.shards") {
-        let _ = writeln!(
-            out,
-            "  query cache: {shards} shards, {} contended lockings",
-            metrics.gauge("cache.contended").unwrap_or(0),
-        );
-    }
-    out
-}
-
 /// Render a [`ResilientReport`] as a verdict narrative.
 pub fn explain_with(report: &ResilientReport, opts: &ExplainOptions) -> String {
     let mut out = String::new();
@@ -187,12 +139,10 @@ pub fn explain_with(report: &ResilientReport, opts: &ExplainOptions) -> String {
         let _ = writeln!(out, "  total            {:>7.2}s wall", report.elapsed.as_secs_f64());
         let _ = writeln!(
             out,
-            "  search effort: {} conflicts, {} propagations, {} learnt clauses \
-             ({} imported), {} restarts",
+            "  search effort: {} conflicts, {} propagations, {} learnt clauses, {} restarts",
             effort.conflicts,
             effort.propagations,
             effort.learnt_clauses,
-            effort.learnts_imported,
             effort.restarts,
         );
         let _ = writeln!(

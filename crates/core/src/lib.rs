@@ -71,7 +71,7 @@ pub use equiv::{
     check_equivalence_nonparam, check_equivalence_param, CheckOptions, Mode, QueryStat, Report,
 };
 pub use error::Error;
-pub use explain::{explain_full, explain_report, explain_with, ExplainOptions};
+pub use explain::{explain_report, explain_with, ExplainOptions};
 pub use kernel::KernelUnit;
 pub use perf::{check_bank_conflicts, check_coalescing, PerfReport};
 pub use portfolio::{

@@ -29,9 +29,7 @@
 //! across concurrent rungs would double-count conflicts and term nodes
 //! against the caps and, worse, let one rung's watchdog cancel its
 //! siblings; the child-token tree keeps exhaustion strictly per-rung while
-//! the task root remains a portfolio-wide kill switch
-//! (see `pug_sat::Budget::split` for the solver-level form of the same
-//! contract).
+//! the task root remains a portfolio-wide kill switch.
 //!
 //! ## Batch mode
 //!
@@ -67,9 +65,10 @@ use std::time::{Duration, Instant};
 pub const DEFAULT_QUERY_CACHE_CAPACITY: usize = 1 << 20;
 
 /// Default number of [`QueryCache`] shards (a power of two). Sixteen
-/// shards keep the per-shard mutex essentially uncontended for any
-/// obligation pool the verifier spawns (pool sizes track core counts)
-/// while the fixed overhead — sixteen empty `HashSet`s — stays trivial.
+/// shards keep the per-shard mutex essentially uncontended for the
+/// concurrent jobs of the `pug-serve` daemon and the racing rungs of a
+/// portfolio batch, which all share one cache, while the fixed overhead —
+/// sixteen empty `HashSet`s — stays trivial.
 pub const DEFAULT_QUERY_CACHE_SHARDS: usize = 16;
 
 /// Acquire `m`, recovering the guard if a panicking holder poisoned it.
@@ -108,15 +107,15 @@ fn recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 ///
 /// The store is split into a power-of-two number of *shards*, each its own
 /// `Mutex<CacheInner>` selected by folding the 128-bit fingerprint
-/// (`(fp ^ (fp >> 64)) & mask`). Concurrent obligation workers therefore
-/// serialize only when two lookups land on the same shard, not on one
-/// process-wide lock; the `contended` counter per shard records how often
-/// a lock was actually busy (`try_lock` failed and the caller had to
-/// wait). Capacity is divided evenly across shards and eviction is FIFO
-/// *per shard*, so with more than one shard the retention bound is
-/// approximate: total occupancy never exceeds
-/// `max(shards, capacity)` entries. Single-shard caches
-/// ([`QueryCache::with_shards`]`(cap, 1)`) keep the exact global FIFO.
+/// (`(fp ^ (fp >> 64)) & mask`). Concurrent jobs (the daemon's workers,
+/// a batch's racing rungs) therefore serialize only when two lookups land
+/// on the same shard, not on one process-wide lock; the `contended`
+/// counter per shard records how often a lock was actually busy
+/// (`try_lock` failed and the caller had to wait). The shard capacities
+/// sum to exactly `capacity`, so occupancy never exceeds it; eviction is
+/// FIFO *per shard*, so the oldest entry overall is not always the one
+/// evicted. Single-shard caches ([`QueryCache::with_shards`]`(cap, 1)`)
+/// keep the exact global FIFO.
 #[derive(Clone)]
 pub struct QueryCache {
     shards: Arc<[CacheShard]>,
@@ -196,18 +195,18 @@ impl QueryCache {
     }
 
     /// A cache with an explicit shard count. `shards` is rounded up to
-    /// the next power of two (minimum one); capacity is divided evenly,
-    /// with every shard granted at least one slot when `capacity > 0` so
-    /// a tiny capacity does not degenerate into a zero-retention cache.
+    /// the next power of two (minimum one). The shard capacities sum to
+    /// exactly `capacity`: each shard gets `capacity / shards` slots and
+    /// the first `capacity % shards` shards one more, so with fewer slots
+    /// than shards some shards retain nothing.
     pub fn with_shards(capacity: usize, shards: usize) -> QueryCache {
         let n = shards.max(1).next_power_of_two();
-        let per_shard = if capacity == 0 { 0 } else { (capacity / n).max(1) };
         let shards: Vec<CacheShard> = (0..n)
-            .map(|_| CacheShard {
+            .map(|i| CacheShard {
                 inner: Mutex::new(CacheInner {
                     set: HashSet::new(),
                     order: VecDeque::new(),
-                    capacity: per_shard,
+                    capacity: capacity / n + usize::from(i < capacity % n),
                     evictions: 0,
                 }),
                 hits: AtomicU64::new(0),
@@ -248,27 +247,6 @@ impl QueryCache {
             shard.misses.fetch_add(1, Ordering::Relaxed);
         }
         hit
-    }
-
-    /// Is this fingerprint stored? Does **not** count a hit or miss —
-    /// pooled obligation workers use this for their deferred-accounting
-    /// overlay, where the hit/miss is replayed later via
-    /// [`QueryCache::note_lookup`] in deterministic merge order.
-    pub fn contains(&self, fp: u128) -> bool {
-        let shard = &self.shards[self.shard_index(fp)];
-        Self::lock_shard(shard).set.contains(&fp)
-    }
-
-    /// Account a lookup that was performed earlier through
-    /// [`QueryCache::contains`]: bumps the owning shard's hit or miss
-    /// counter without touching the store.
-    pub fn note_lookup(&self, fp: u128, hit: bool) {
-        let shard = &self.shards[self.shard_index(fp)];
-        if hit {
-            shard.hits.fetch_add(1, Ordering::Relaxed);
-        } else {
-            shard.misses.fetch_add(1, Ordering::Relaxed);
-        }
     }
 
     /// Record a proven-unsat assert set, evicting the oldest entries of
@@ -427,11 +405,6 @@ impl WorkerPool {
             })
             .collect();
         WorkerPool { tx: Some(tx), workers }
-    }
-
-    /// Number of worker threads.
-    pub fn threads(&self) -> usize {
-        self.workers.len()
     }
 
     /// Enqueue a job; workers pick jobs up in FIFO order.
@@ -900,15 +873,21 @@ mod tests {
         assert!(!cache.lookup_unsat(999));
         let s = cache.stats();
         assert_eq!((s.hits, s.misses), (32, 1));
-        // `contains` + `note_lookup` split accounting exactly like a
-        // counted lookup.
-        assert!(cache.contains(5));
-        let before = cache.stats();
-        assert_eq!((before.hits, before.misses), (32, 1), "contains must not count");
-        cache.note_lookup(5, true);
-        cache.note_lookup(999, false);
-        let after = cache.stats();
-        assert_eq!((after.hits, after.misses), (33, 2));
+    }
+
+    #[test]
+    fn query_cache_retains_exactly_its_capacity() {
+        // Fewer slots than shards, a remainder, and an even split: the
+        // shard capacities must always sum to the requested bound.
+        for capacity in [3usize, 20, 100] {
+            let cache = QueryCache::with_capacity(capacity);
+            for fp in 0..1000u128 {
+                cache.record_unsat(fp);
+            }
+            assert_eq!(cache.len(), capacity, "capacity {capacity}");
+            assert_eq!(cache.evictions(), 1000 - capacity as u64);
+            assert_eq!(cache.stats().capacity, capacity);
+        }
     }
 
     #[test]

@@ -261,11 +261,6 @@ pub struct RunnerOptions {
     /// Term canonicalization (`pug_smt::normalize`) on every rung and aux
     /// pass. On by default; differential suites turn it off.
     pub normalize: bool,
-    /// Intra-rung obligation parallelism, forwarded to every rung's
-    /// [`CheckOptions::obligation_parallelism`]: `0` auto-detects, `1`
-    /// forces the sequential obligation loop, `n ≥ 2` pools up to `n`
-    /// solver sessions per region comparison.
-    pub obligation_parallelism: usize,
     /// Generalized (Presburger) quantifier elimination, forwarded to every
     /// rung and aux pass ([`CheckOptions::generalized_qelim`]). On by
     /// default; the differential suites turn it off to prove the ladder
@@ -287,7 +282,6 @@ impl Default for RunnerOptions {
             metrics: MetricsRegistry::disabled(),
             aux_passes: false,
             normalize: true,
-            obligation_parallelism: 0,
             generalized_qelim: true,
         }
     }
@@ -320,13 +314,6 @@ impl RunnerOptions {
     /// Enable the auxiliary race/perf passes.
     pub fn with_aux_passes(mut self) -> RunnerOptions {
         self.aux_passes = true;
-        self
-    }
-
-    /// Pin the per-rung obligation pool width (`0` = auto, `1` =
-    /// sequential).
-    pub fn with_obligation_parallelism(mut self, n: usize) -> RunnerOptions {
-        self.obligation_parallelism = n;
         self
     }
 
@@ -519,7 +506,6 @@ pub(crate) fn dispatch_rung(
     check_opts.max_term_nodes = opts.max_term_nodes;
     check_opts.query_cache = opts.query_cache.clone();
     check_opts.normalize = opts.normalize;
-    check_opts.obligation_parallelism = opts.obligation_parallelism;
     check_opts.generalized_qelim = opts.generalized_qelim;
     match rung {
         Rung::Param => check_equivalence_param(src, tgt, cfg, &check_opts),
@@ -732,7 +718,6 @@ pub(crate) fn run_aux_passes(
             // per-lookup counters cover every query of the run.
             query_cache: opts.query_cache.clone(),
             normalize: opts.normalize,
-            obligation_parallelism: opts.obligation_parallelism,
             generalized_qelim: opts.generalized_qelim,
             ..CheckOptions::default()
         };

@@ -7,11 +7,65 @@
 //! mid-session.
 
 use pugpara::equiv::{check_equivalence_param, CheckOptions, Report};
-use pugpara::{KernelUnit, QueryCache, Verdict};
+use pugpara::{KernelUnit, QueryCache, Soundness, Verdict};
 use pug_ir::GpuConfig;
 use pug_smt::failpoints::{self, Fault};
 use pug_testutil::KernelGen;
+use std::sync::{RwLock, RwLockReadGuard};
 use std::time::Duration;
+
+/// Failpoints are process-global and this binary's tests run concurrently:
+/// the test that arms one holds this lock for writing, every other test
+/// for reading, so an armed site never leaks into another test's checks.
+static FAULT_LOCK: RwLock<()> = RwLock::new(());
+
+fn no_faults() -> RwLockReadGuard<'static, ()> {
+    FAULT_LOCK.read().unwrap_or_else(|e| e.into_inner())
+}
+
+/// Four independent output arrays: the per-array obligation loop runs
+/// four times in one solver context (every corpus kernel writes a single
+/// global, so it runs once there).
+const MULTI_SRC: &str = r#"
+__global__ void multi(int *a, int *b, int *c, int *d, int *in, int n) {
+    requires(n > 0);
+    int i = blockIdx.x * blockDim.x + threadIdx.x;
+    if (i < n) {
+        a[i] = in[i] * 3;
+        b[i] = in[i] + in[i];
+        c[i] = in[i] * in[i];
+        d[i] = (in[i] + n) * 2;
+    }
+}
+"#;
+
+/// Equivalent rewrite of every array (reassociated / strength-reduced).
+const MULTI_EQUIV: &str = r#"
+__global__ void multi(int *a, int *b, int *c, int *d, int *in, int n) {
+    requires(n > 0);
+    int i = blockIdx.x * blockDim.x + threadIdx.x;
+    if (i < n) {
+        a[i] = in[i] + in[i] + in[i];
+        b[i] = in[i] * 2;
+        c[i] = in[i] * in[i];
+        d[i] = in[i] * 2 + n * 2;
+    }
+}
+"#;
+
+/// Array `c` differs; `a` and `b` before it are clean.
+const MULTI_BUGGY: &str = r#"
+__global__ void multi(int *a, int *b, int *c, int *d, int *in, int n) {
+    requires(n > 0);
+    int i = blockIdx.x * blockDim.x + threadIdx.x;
+    if (i < n) {
+        a[i] = in[i] * 3;
+        b[i] = in[i] + in[i];
+        c[i] = in[i] * in[i] + 1;
+        d[i] = (in[i] + n) * 2;
+    }
+}
+"#;
 
 fn load(src: &str) -> KernelUnit {
     KernelUnit::load(src).unwrap()
@@ -57,14 +111,16 @@ fn assert_reports_agree(label: &str, inc: &Report, one: &Report) {
     }
 }
 
-fn differential(label: &str, src: &KernelUnit, tgt: &KernelUnit, cfg: &GpuConfig) {
+fn differential(label: &str, src: &KernelUnit, tgt: &KernelUnit, cfg: &GpuConfig) -> Report {
     let inc = check_equivalence_param(src, tgt, cfg, &opts()).unwrap();
     let one = check_equivalence_param(src, tgt, cfg, &opts().one_shot()).unwrap();
     assert_reports_agree(label, &inc, &one);
+    inc
 }
 
 #[test]
 fn corpus_pairs_agree() {
+    let _faults = no_faults();
     let cases: &[(&str, &str, &str, GpuConfig)] = &[
         (
             "transpose ok",
@@ -100,10 +156,34 @@ fn corpus_pairs_agree() {
     for (label, src, tgt, cfg) in cases {
         differential(label, &load(src), &load(tgt), cfg);
     }
+
+    let cfg = GpuConfig::symbolic_1d(8);
+    let clean = differential(
+        "multi-output equivalent",
+        &load(MULTI_SRC),
+        &load(MULTI_EQUIV),
+        &cfg,
+    );
+    assert!(
+        matches!(clean.verdict, Verdict::Verified(Soundness::Sound)),
+        "multi-output equivalent: {}",
+        clean.verdict
+    );
+    let buggy = differential(
+        "multi-output buggy",
+        &load(MULTI_SRC),
+        &load(MULTI_BUGGY),
+        &cfg,
+    );
+    match &buggy.verdict {
+        Verdict::Bug(bug) => assert!(bug.detail.contains("`c`"), "{}", bug.detail),
+        other => panic!("multi-output buggy: expected a bug in `c`, got {other}"),
+    }
 }
 
 #[test]
 fn reduction_pair_agrees_concretized() {
+    let _faults = no_faults();
     let v0 = load(pug_kernels::reduction::V0);
     let v1 = load(pug_kernels::reduction::V1);
     let cfg = GpuConfig::symbolic_1d(8);
@@ -115,6 +195,7 @@ fn reduction_pair_agrees_concretized() {
 
 #[test]
 fn fuzzed_kernels_agree_with_one_shot() {
+    let _faults = no_faults();
     // Self-equivalence of generated kernels: many obligations per check,
     // shared premise prefixes — exactly the profile the session optimizes.
     for seed in 0..12u64 {
@@ -135,6 +216,7 @@ fn fuzzed_kernels_agree_with_one_shot() {
 
 #[test]
 fn fuzzed_basic_profile_agrees() {
+    let _faults = no_faults();
     for seed in 100..108u64 {
         let src = KernelGen::basic(seed).kernel();
         let Ok(unit) = KernelUnit::load(&src) else { continue };
@@ -147,6 +229,7 @@ fn fuzzed_basic_profile_agrees() {
 
 #[test]
 fn budget_exhaustion_mid_session_agrees() {
+    let _faults = FAULT_LOCK.write().unwrap_or_else(|e| e.into_inner());
     // Failpoint-injected budget exhaustion at the SMT boundary: both paths
     // trip the same `smt::check` site on every query, so both degrade to
     // the same Timeout verdict instead of diverging or crashing.
@@ -167,6 +250,7 @@ fn budget_exhaustion_mid_session_agrees() {
 
 #[test]
 fn tiny_conflict_cap_does_not_crash_session() {
+    let _faults = no_faults();
     // A starvation-level per-query conflict cap: verdicts may legitimately
     // be Timeout, but the session must never panic, poison the process, or
     // report a bug/proof the one-shot path contradicts.
@@ -182,6 +266,7 @@ fn tiny_conflict_cap_does_not_crash_session() {
 
 #[test]
 fn query_cache_short_circuits_repeat_checks() {
+    let _faults = no_faults();
     // Two identical checks sharing one cache: the second run's obligations
     // are all cache hits, and the verdict is unchanged.
     let naive = load(pug_kernels::transpose::NAIVE);

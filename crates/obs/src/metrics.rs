@@ -42,15 +42,6 @@ impl Histogram {
     pub fn mean_us(&self) -> u64 {
         self.sum_us.checked_div(self.count).unwrap_or(0)
     }
-
-    /// Fold another histogram into this one (counts, sums and buckets add).
-    pub fn merge(&mut self, other: &Histogram) {
-        self.count += other.count;
-        self.sum_us += other.sum_us;
-        for (b, o) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *b += *o;
-        }
-    }
 }
 
 #[derive(Default)]
@@ -145,24 +136,6 @@ impl MetricsRegistry {
     /// Render the current state as sorted `name value` lines.
     pub fn render(&self) -> String {
         self.snapshot().render()
-    }
-
-    /// Fold a snapshot (typically taken from a worker's private registry)
-    /// into this registry: counters and histograms add, gauges overwrite
-    /// (last write wins, matching [`MetricsRegistry::set_gauge`]). No-op
-    /// when this registry is disabled.
-    pub fn merge_from(&self, snap: &MetricsSnapshot) {
-        self.with(|i| {
-            for (name, v) in &snap.counters {
-                *i.counters.entry(name.clone()).or_insert(0) += v;
-            }
-            for (name, v) in &snap.gauges {
-                i.gauges.insert(name.clone(), *v);
-            }
-            for (name, h) in &snap.histograms {
-                i.histograms.entry(name.clone()).or_default().merge(h);
-            }
-        });
     }
 }
 

@@ -187,21 +187,6 @@ impl Budget {
     pub fn remaining(&self) -> Option<Duration> {
         self.deadline.map(|d| d.saturating_duration_since(Instant::now()))
     }
-
-    /// Split into `k` *independent* per-worker budgets for concurrent use.
-    ///
-    /// Handing one `Budget` value to `k` racing workers is wrong in two
-    /// ways: each worker checks its own counters against the shared caps
-    /// (so the aggregate spend is `k`× what the caps suggest — the
-    /// "shared-and-double-counted" trap), and they share one cancel token,
-    /// so one worker exhausting its slice trips every sibling. `split`
-    /// fixes both: each child carries the same per-worker caps and deadline
-    /// but its own [`CancelToken::child`] — cancelling (or exhausting) one
-    /// child never interrupts a sibling, while cancelling the original
-    /// budget's token still stops all of them.
-    pub fn split(&self, k: usize) -> Vec<Budget> {
-        (0..k).map(|_| Budget { cancel: self.cancel.child(), ..self.clone() }).collect()
-    }
 }
 
 #[cfg(test)]
@@ -279,32 +264,6 @@ mod tests {
         // A child cannot un-cancel an ancestor's trip.
         b.reset();
         assert!(b.is_cancelled());
-    }
-
-    #[test]
-    fn split_isolates_siblings_and_keeps_caps() {
-        let root = CancelToken::new();
-        let parent = Budget::unlimited()
-            .and_cancel(root.clone())
-            .and_clause_bytes(4096)
-            .and_term_nodes(100);
-        let children = parent.split(3);
-        assert_eq!(children.len(), 3);
-        for c in &children {
-            // Per-worker caps are the sequential per-attempt caps, verbatim.
-            assert_eq!(c.max_clause_bytes, Some(4096));
-            assert_eq!(c.max_term_nodes, Some(100));
-            assert!(!c.interrupted());
-        }
-        // Exhausting (cancelling) one child leaves the siblings running.
-        children[0].cancel.cancel();
-        assert!(children[0].interrupted());
-        assert!(!children[1].interrupted());
-        assert!(!children[2].interrupted());
-        assert!(!parent.interrupted());
-        // The parent token remains the portfolio-wide kill switch.
-        root.cancel();
-        assert!(children[1].interrupted() && children[2].interrupted());
     }
 
     #[test]

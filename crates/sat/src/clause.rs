@@ -17,7 +17,7 @@ impl ClauseRef {
 }
 
 /// A disjunction of literals plus solver bookkeeping.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct Clause {
     /// The literals. The first two are the watched positions.
     pub lits: Vec<Lit>,

@@ -6,7 +6,7 @@
 use crate::types::Var;
 
 /// Max-heap of variables keyed by an external activity array.
-#[derive(Clone, Default, Debug)]
+#[derive(Default, Debug)]
 pub struct VarHeap {
     heap: Vec<Var>,
     /// `positions[v] == usize::MAX` when `v` is not in the heap.

@@ -35,7 +35,6 @@
 pub mod budget;
 pub mod clause;
 pub mod dimacs;
-pub mod exchange;
 pub mod failpoints;
 mod heap;
 pub mod solver;
@@ -43,7 +42,6 @@ pub mod types;
 
 pub use budget::{Budget, CancelToken, ResourceBudget};
 pub use dimacs::Cnf;
-pub use exchange::{Exchange, LearntRing};
 pub use solver::simplify::SimplifyConfig;
 pub use solver::{SolveResult, Solver, Stats};
 pub use types::{LBool, Lit, Var};

@@ -41,8 +41,6 @@ pub struct Stats {
     pub clauses_subsumed: u64,
     /// Clauses shortened by vivification (inprocessing).
     pub clauses_vivified: u64,
-    /// Foreign lemmas attached through the learnt-clause exchange.
-    pub learnts_imported: u64,
 }
 
 impl Stats {
@@ -59,7 +57,6 @@ impl Stats {
         self.vars_eliminated += other.vars_eliminated;
         self.clauses_subsumed += other.clauses_subsumed;
         self.clauses_vivified += other.clauses_vivified;
-        self.learnts_imported += other.learnts_imported;
     }
 }
 
@@ -73,15 +70,6 @@ const RESTART_BASE: u64 = 100;
 const CANCEL_POLL_INTERVAL: u64 = 64;
 
 /// The CDCL solver.
-///
-/// `Clone` produces a full replica: same clause database (original and
-/// learnt), assignment trail, activity order, preprocessing state and
-/// statistics. The obligation-parallel path uses this to replay a
-/// committed shared prefix into pool members at clause level instead of
-/// re-blasting it. A clone shares the donor's cancellation token and
-/// learnt-exchange ring handle; callers re-point both before solving
-/// (`solve_with` installs the budget's token, `set_exchange` the ring).
-#[derive(Clone)]
 pub struct Solver {
     clauses: Vec<Clause>,
     watches: Vec<Vec<Watcher>>,
@@ -123,10 +111,6 @@ pub struct Solver {
     /// Pre/inprocessing state (BVE elimination stack, frozen set,
     /// vivification cursor); see the [`simplify`] module.
     simp: Simp,
-    /// Learnt-clause exchange with sibling pool replicas, when attached.
-    /// Exports are filtered at the learn site (prefix-only, short) and
-    /// buffered; the ring round-trip happens at restart boundaries.
-    exchange: Option<crate::exchange::Exchange>,
     stats: Stats,
 }
 
@@ -166,21 +150,8 @@ impl Solver {
             cancel_poll_at: CANCEL_POLL_INTERVAL,
             interrupted: false,
             simp: Simp::new(),
-            exchange: None,
             stats: Stats::default(),
         }
-    }
-
-    /// Attach a learnt-clause exchange (see [`crate::exchange`]): eligible
-    /// learnts are published to the ring and sibling lemmas imported at
-    /// restart boundaries. Replaces any previous attachment.
-    pub fn set_exchange(&mut self, ex: crate::exchange::Exchange) {
-        self.exchange = Some(ex);
-    }
-
-    /// Detach the learnt-clause exchange, if any.
-    pub fn clear_exchange(&mut self) {
-        self.exchange = None;
     }
 
     /// Allocate a fresh variable.
@@ -286,87 +257,6 @@ impl Solver {
             }
             _ => {
                 self.attach_new(out, false, 0);
-                true
-            }
-        }
-    }
-
-    /// One learnt-exchange round at a restart boundary: flush the pending
-    /// exports to the ring, then import every new sibling lemma. No-op
-    /// without an attached exchange.
-    fn exchange_round(&mut self) {
-        debug_assert_eq!(self.decision_level(), 0, "exchange runs at restart boundaries");
-        let Some(mut ex) = self.exchange.take() else { return };
-        for lits in ex.pending.drain(..) {
-            ex.ring.publish(ex.member, &lits);
-        }
-        let mut incoming = Vec::new();
-        ex.last_seen = ex.ring.collect_since(ex.member, ex.last_seen, &mut incoming);
-        let mut attached = 0u64;
-        for lits in &incoming {
-            if self.import_learnt(lits) {
-                attached += 1;
-            }
-            if !self.ok {
-                break;
-            }
-        }
-        if attached > 0 {
-            ex.ring.note_imported(attached);
-            self.stats.learnts_imported += attached;
-        }
-        self.exchange = Some(ex);
-    }
-
-    /// Attach a foreign learnt clause at decision level 0. Mirrors
-    /// [`Solver::add_clause`] — restore-on-reuse for BVE'd variables,
-    /// sort/dedup, tautology and satisfied/falsified literal elimination —
-    /// but attaches as a *learnt* clause (subject to database reduction)
-    /// and deliberately skips `simp.note_clause_added`: imported lemmas are
-    /// redundant, so they must not re-trigger preprocessing.
-    ///
-    /// Returns `true` when the clause was attached or asserted as a unit.
-    pub fn import_learnt(&mut self, lits: &[Lit]) -> bool {
-        debug_assert_eq!(self.decision_level(), 0, "imports happen at the top level");
-        if !self.ok {
-            return false;
-        }
-        // BVE soundness: the importer may have eliminated a variable the
-        // exporter still branches on — restore its clauses first, exactly
-        // like PR 7's restore-on-reuse in `add_clause`.
-        self.restore_referenced(lits);
-        if !self.ok {
-            return false;
-        }
-        let mut ls: Vec<Lit> = lits.to_vec();
-        ls.sort_unstable();
-        ls.dedup();
-        let mut out: Vec<Lit> = Vec::with_capacity(ls.len());
-        for (i, &l) in ls.iter().enumerate() {
-            if i + 1 < ls.len() && ls[i + 1] == !l {
-                return false; // tautology: nothing to learn
-            }
-            match self.value(l) {
-                LBool::True => return false, // already satisfied at level 0
-                LBool::False => {}           // drop the falsified literal
-                LBool::Undef => out.push(l),
-            }
-        }
-        match out.len() {
-            0 => {
-                self.ok = false;
-                false
-            }
-            1 => {
-                self.assign(out[0], None);
-                if self.propagate().is_some() {
-                    self.ok = false;
-                }
-                self.ok
-            }
-            _ => {
-                let lbd = out.len() as u32;
-                self.attach_new(out, true, lbd);
                 true
             }
         }
@@ -871,13 +761,6 @@ impl Solver {
                 None => {
                     restarts += 1;
                     self.stats.restarts += 1;
-                    // Restart boundary: the solver is back at decision
-                    // level 0, the only place foreign clauses may be
-                    // attached (and BVE-eliminated variables restored).
-                    self.exchange_round();
-                    if !self.ok {
-                        return SolveResult::Unsat;
-                    }
                     // A preprocessing pass deferred at solve entry runs at
                     // the first restart after the call has spent enough
                     // conflicts to prove the query nontrivial.
@@ -937,14 +820,6 @@ impl Solver {
                 }
                 let (learnt, bt, lbd) = self.analyze(confl);
                 self.cancel_until(bt);
-                // Export hook: a short learnt clause over prefix variables
-                // only is a lemma every sibling replica can use. Buffered
-                // here, flushed to the ring at the next restart boundary.
-                if let Some(ex) = self.exchange.as_mut() {
-                    if ex.eligible(&learnt) {
-                        ex.pending.push(learnt.clone());
-                    }
-                }
                 if learnt.len() == 1 {
                     self.assign(learnt[0], None);
                 } else {

@@ -112,7 +112,6 @@ impl SimplifyConfig {
 /// One committed elimination: the variable and the clauses resolution
 /// removed. `restored` marks records undone by restore-on-reuse; they are
 /// skipped during model reconstruction.
-#[derive(Clone)]
 struct ElimRecord {
     var: Var,
     clauses: Vec<Vec<Lit>>,
@@ -122,7 +121,6 @@ struct ElimRecord {
 const NO_RECORD: u32 = u32::MAX;
 
 /// Per-solver pre/inprocessing state.
-#[derive(Clone)]
 pub(crate) struct Simp {
     pub(crate) cfg: SimplifyConfig,
     /// Variables BVE must never eliminate (client interface variables and

@@ -3,7 +3,6 @@
 //! ```text
 //! pug-serve [--addr 127.0.0.1:7227] [--workers N] [--capacity N]
 //!           [--rung-timeout-ms MS] [--drain-ms MS] [--cache-capacity N]
-//!           [--obligation-parallelism N]
 //! pug-serve --smoke        # run the CI smoke and exit
 //! ```
 //!
@@ -19,7 +18,6 @@ fn usage() -> ! {
     eprintln!(
         "usage: pug-serve [--addr HOST:PORT] [--workers N] [--capacity N]\n\
          \x20                [--rung-timeout-ms MS] [--drain-ms MS] [--cache-capacity N]\n\
-         \x20                [--obligation-parallelism N]\n\
          \x20      pug-serve --smoke"
     );
     std::process::exit(2)
@@ -56,9 +54,6 @@ fn main() {
             }
             "--drain-ms" => cfg.drain = Duration::from_millis(parse(&value("--drain-ms"))),
             "--cache-capacity" => cfg.cache_capacity = parse(&value("--cache-capacity")),
-            "--obligation-parallelism" => {
-                cfg.obligation_parallelism = parse(&value("--obligation-parallelism"))
-            }
             "--help" | "-h" => usage(),
             other => {
                 eprintln!("unknown flag {other}");

@@ -77,14 +77,6 @@ pub struct ServeConfig {
     pub cache_capacity: usize,
     /// Retry hint handed to shed clients before any latency data exists.
     pub retry_after: Duration,
-    /// Intra-rung obligation-pool width handed to every job
-    /// ([`RunnerOptions::with_obligation_parallelism`]). Admission is
-    /// weighted by it: a job screening obligations over `w` sessions
-    /// occupies `w` admission units, so the aggregate thread/memory
-    /// pressure stays bounded by `capacity` regardless of the knob.
-    /// `1` (the default) keeps jobs sequential — the daemon already
-    /// parallelizes across jobs and rungs.
-    pub obligation_parallelism: usize,
 }
 
 impl Default for ServeConfig {
@@ -101,7 +93,6 @@ impl Default for ServeConfig {
             drain: Duration::from_secs(10),
             cache_capacity: pugpara::DEFAULT_QUERY_CACHE_CAPACITY,
             retry_after: Duration::from_millis(200),
-            obligation_parallelism: 1,
         }
     }
 }
@@ -126,12 +117,6 @@ struct Resolved {
     rung_timeout: Duration,
     drain: Duration,
     retry_after: Duration,
-    /// Per-job obligation-pool width (≥ 1).
-    obligation_parallelism: usize,
-    /// Admission units one job occupies: the pool width, clamped to the
-    /// capacity so a wide job on a small daemon is still admittable (it
-    /// then simply has the daemon to itself).
-    job_weight: usize,
 }
 
 fn resolve(cfg: &ServeConfig) -> Resolved {
@@ -164,7 +149,6 @@ fn resolve(cfg: &ServeConfig) -> Resolved {
     // Every admitted job runs under an equal slice of the process caps.
     let job_clause_bytes = cfg.budget.max_clause_bytes.map(|total| (total / capacity).max(1));
     let job_term_nodes = cfg.budget.max_term_nodes.map(|total| (total / capacity).max(1));
-    let obligation_parallelism = cfg.obligation_parallelism.max(1);
     Resolved {
         workers,
         capacity,
@@ -173,8 +157,6 @@ fn resolve(cfg: &ServeConfig) -> Resolved {
         rung_timeout: cfg.rung_timeout,
         drain: cfg.drain,
         retry_after: cfg.retry_after,
-        obligation_parallelism,
-        job_weight: obligation_parallelism.min(capacity),
     }
 }
 
@@ -198,22 +180,17 @@ impl Shared {
         self.state.load(Ordering::Acquire)
     }
 
-    /// RAII admission permit; `None` = shed. Admission is weighted: a job
-    /// with an obligation pool of width `w` occupies `w` units of the
-    /// capacity (`inflight` counts units, not jobs), so raising the
-    /// per-job parallelism proportionally lowers the number of jobs the
-    /// daemon will run at once.
+    /// RAII admission permit; `None` = shed.
     fn try_admit(self: &Arc<Shared>) -> Option<Permit> {
-        let weight = self.cfg.job_weight;
         let mut cur = self.inflight.load(Ordering::Relaxed);
         loop {
-            if cur + weight > self.cfg.capacity {
+            if cur >= self.cfg.capacity {
                 self.metrics.incr("serve.jobs.shed");
                 return None;
             }
             match self.inflight.compare_exchange_weak(
                 cur,
-                cur + weight,
+                cur + 1,
                 Ordering::AcqRel,
                 Ordering::Relaxed,
             ) {
@@ -223,7 +200,7 @@ impl Shared {
         }
         self.metrics.incr("serve.jobs.admitted");
         self.metrics.set_gauge("serve.inflight", self.inflight.load(Ordering::Relaxed) as u64);
-        Some(Permit { shared: Arc::clone(self), weight })
+        Some(Permit(Arc::clone(self)))
     }
 
     /// Retry hint for shed clients: the observed mean job latency when we
@@ -240,25 +217,19 @@ impl Shared {
         self.metrics.set_gauge("serve.inflight", self.inflight.load(Ordering::Relaxed) as u64);
         self.metrics.set_gauge("serve.capacity", self.cfg.capacity as u64);
         self.metrics.set_gauge("serve.workers", self.cfg.workers as u64);
-        self.metrics.set_gauge("serve.job_weight", self.cfg.job_weight as u64);
         self.metrics.set_gauge("serve.state", self.state() as u64);
         self.cache.publish(&self.metrics);
     }
 }
 
-/// Releases the job's admission units (and refreshes the gauge) when the
-/// job ends, however it ends — the permit rides inside the job thread.
-/// The weight is captured at admission so a config change can never
-/// unbalance the release.
-struct Permit {
-    shared: Arc<Shared>,
-    weight: usize,
-}
+/// Decrements the in-flight count (and gauge) when the job ends, however
+/// it ends — the permit rides inside the job thread.
+struct Permit(Arc<Shared>);
 
 impl Drop for Permit {
     fn drop(&mut self) {
-        let now = self.shared.inflight.fetch_sub(self.weight, Ordering::AcqRel) - self.weight;
-        self.shared.metrics.set_gauge("serve.inflight", now as u64);
+        let now = self.0.inflight.fetch_sub(1, Ordering::AcqRel) - 1;
+        self.0.metrics.set_gauge("serve.inflight", now as u64);
     }
 }
 
@@ -685,7 +656,6 @@ fn run_job(
             max_term_nodes: shared.cfg.job_term_nodes,
             query_cache: Some(shared.cache.clone()),
             metrics: shared.metrics.clone(),
-            obligation_parallelism: shared.cfg.obligation_parallelism,
             ..RunnerOptions::default()
         },
         threads: None,

@@ -90,14 +90,9 @@ pub fn run_smoke() -> Result<(), String> {
         expected.insert(id.to_string(), baseline(src, tgt));
     }
 
-    // Per-job obligation pooling on the service side; the in-process
-    // baselines stay sequential — the pooled screen is observationally
-    // identical by construction, so the verdicts must still agree
-    // byte-for-byte.
     let cfg = ServeConfig {
         rung_timeout: RUNG_TIMEOUT,
         drain: DRAIN,
-        obligation_parallelism: 2,
         ..ServeConfig::default()
     };
     let server = start(&cfg, "127.0.0.1:0").map_err(|e| format!("bind failed: {e}"))?;
@@ -167,8 +162,8 @@ pub fn run_smoke() -> Result<(), String> {
         return Err(format!("shutdown exceeded drain deadline: {:?}", t0.elapsed()));
     }
     println!(
-        "smoke ok: {} pooled jobs (obligation parallelism 2) agreed with sequential \
-         in-process verdicts (one fault-injected); /metrics live; drained {} in-flight in {:?}",
+        "smoke ok: {} jobs agreed with in-process verdicts (one fault-injected); \
+         /metrics live; drained {} in-flight in {:?}",
         PAIRS.len(),
         report.inflight_at_shutdown,
         report.elapsed

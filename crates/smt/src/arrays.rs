@@ -92,7 +92,7 @@ pub fn reduce_arrays_budgeted(
 /// completely, so a later call under a fresh budget redoes exactly the
 /// unfinished work (re-emitted pairs hash-cons to the same terms and are
 /// harmless to re-assert).
-#[derive(Clone, Default)]
+#[derive(Default)]
 pub struct IncrementalReducer {
     cache: HashMap<TermId, TermId>,
     /// Memo: (base array, index) → fresh value variable.

@@ -29,11 +29,6 @@ enum GateKey {
 }
 
 /// Incremental bit-blaster bound to one SAT solver instance.
-///
-/// `Clone` (used by the obligation-parallel session replicas) carries the
-/// full structural-hash gate cache and term caches, so a replica reuses
-/// every gate the donor already encoded instead of re-blasting.
-#[derive(Clone)]
 pub struct BitBlaster {
     bool_cache: HashMap<TermId, Lit>,
     bv_cache: HashMap<TermId, Vec<Lit>>,

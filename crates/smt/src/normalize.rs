@@ -62,7 +62,7 @@ pub struct NormalizeStats {
 /// Memoized canonicalizer. The term DAG is append-only and every rule is
 /// deterministic, so memo entries never go stale — one normalizer serves a
 /// whole session (the same `Ctx`) across all of its queries.
-#[derive(Clone, Default)]
+#[derive(Default)]
 pub struct Normalizer {
     memo: HashMap<TermId, TermId>,
     pub stats: NormalizeStats,

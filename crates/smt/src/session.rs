@@ -41,13 +41,6 @@ use std::hash::{Hash, Hasher};
 use std::time::Instant;
 
 /// Persistent incremental solver state (see module docs).
-///
-/// `Clone` is a full clause-level replica: the committed prefix CNF, the
-/// blaster's structural-hash gate cache and the reducer's select/congruence
-/// memos all carry over, so a clone replays the shared prefix without
-/// re-normalizing, re-reducing or re-blasting anything. This is the basis
-/// of [`SolveSession::replica`].
-#[derive(Clone)]
 pub struct SolveSession {
     sat: Solver,
     blaster: BitBlaster,
@@ -97,37 +90,6 @@ impl SolveSession {
     /// True once a mid-encode budget abort has invalidated the session.
     pub fn poisoned(&self) -> bool {
         self.poisoned
-    }
-
-    /// A full clause-level replica of this session: committed prefix CNF,
-    /// learnt clauses, gate cache and reducer memos are all carried over,
-    /// so the replica starts exactly where the donor stands without
-    /// re-blasting anything. Used to fan independent obligations across an
-    /// obligation pool; replicas stay bit-compatible with the donor (same
-    /// variable numbering for every prefix variable).
-    pub fn replica(&self) -> SolveSession {
-        self.clone()
-    }
-
-    /// Number of SAT variables allocated so far — the **prefix high-water
-    /// mark** for a replica forked right now: any variable a later query
-    /// allocates (guards, goal gates) sits at or above this index.
-    pub fn num_vars(&self) -> usize {
-        self.sat.num_vars()
-    }
-
-    /// Join this session to a learnt-clause exchange ring as `member`.
-    /// The prefix high-water mark is captured *now*, so only clauses over
-    /// already-allocated (prefix) variables will be exported; clauses up to
-    /// `max_len` literals qualify. Import happens at restart boundaries.
-    pub fn attach_exchange(
-        &mut self,
-        ring: std::sync::Arc<pug_sat::LearntRing>,
-        member: usize,
-        max_len: usize,
-    ) {
-        let mark = self.sat.num_vars() as u32;
-        self.sat.set_exchange(pug_sat::Exchange::new(ring, member, mark, max_len));
     }
 
     /// Is `t` already part of the committed prefix?
@@ -351,7 +313,6 @@ fn stats_delta(after: Stats, before: Stats) -> Stats {
         vars_eliminated: after.vars_eliminated.saturating_sub(before.vars_eliminated),
         clauses_subsumed: after.clauses_subsumed.saturating_sub(before.clauses_subsumed),
         clauses_vivified: after.clauses_vivified.saturating_sub(before.clauses_vivified),
-        learnts_imported: after.learnts_imported.saturating_sub(before.learnts_imported),
     }
 }
 

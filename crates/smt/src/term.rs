@@ -84,12 +84,7 @@ pub struct Node {
 }
 
 /// Term context: owns the DAG, the hash-cons table and the symbol interner.
-///
-/// `Clone` preserves `TermId`s verbatim (the DAG is copied index for
-/// index), so ids minted in the donor remain valid in the clone — the
-/// obligation-parallel path relies on this to ship prebuilt queries into
-/// worker contexts.
-#[derive(Clone, Default)]
+#[derive(Default)]
 pub struct Ctx {
     nodes: Vec<Node>,
     /// Hash-cons table keyed by a structural hash of `(op, args)`; each

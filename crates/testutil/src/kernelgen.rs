@@ -204,8 +204,8 @@ impl KernelGen {
     }
 
     /// A kernel over `arrays` independent output arrays `o0..o{k-1}` —
-    /// one obligation chain per array, which is exactly the shape the
-    /// intra-rung obligation pool fans out. Statements come from the same
+    /// one obligation chain per array, so the per-array obligation loop
+    /// runs more than once. Statements come from the same
     /// grammar as [`Self::kernel`] (profile constructs included), just
     /// re-targeted per array; determinism per (seed, profile, arrays) is
     /// absolute.

@@ -3,9 +3,8 @@
 //! it up the ladder.
 //!
 //! * On every corpus pair and on fuzzed `KernelGen` kernels, checking with
-//!   `generalized_qelim` on and off (× incremental/one-shot backends,
-//!   × sequential/pooled obligation screens) returns identically rendered
-//!   verdicts at the `Param` rung whenever both sides can run it.
+//!   `generalized_qelim` on and off (× incremental/one-shot backends)
+//!   returns identically rendered verdicts at the `Param` rung whenever both sides can run it.
 //! * The grid-stride pair is the rung-improvement witness: with the
 //!   generalized elimination the `Param` rung proves it sound for every
 //!   block size; without it the rung fails on the symbolic-stride loop and
@@ -104,32 +103,28 @@ fn both_sides_corpus() -> Vec<(&'static str, KernelUnit, KernelUnit, GpuConfig)>
     ]
 }
 
-/// The full on/off × incremental/one-shot × sequential/pooled grid over
-/// corpus pairs: rendered verdicts must agree cell by cell.
+/// The full on/off × incremental/one-shot grid over corpus pairs:
+/// rendered verdicts must agree cell by cell.
 #[test]
 fn corpus_grid_verdicts_identical() {
     let _scope = FaultScope::clean();
     for (label, src, tgt, cfg) in both_sides_corpus() {
         let reference = check_equivalence_param(&src, &tgt, &cfg, &opts()).unwrap();
         for one_shot in [false, true] {
-            for pooled in [false, true] {
-                for qelim_off in [false, true] {
-                    let mut o = opts();
-                    if one_shot {
-                        o = o.one_shot();
-                    }
-                    o = if pooled { o.with_obligation_parallelism(4) } else { o.sequential() };
-                    if qelim_off {
-                        o = o.no_generalized_qelim();
-                    }
-                    let r = check_equivalence_param(&src, &tgt, &cfg, &o).unwrap();
-                    assert_eq!(
-                        format!("{}", r.verdict),
-                        format!("{}", reference.verdict),
-                        "{label}: verdict diverges at one_shot={one_shot} \
-                         pooled={pooled} qelim_off={qelim_off}"
-                    );
+            for qelim_off in [false, true] {
+                let mut o = opts();
+                if one_shot {
+                    o = o.one_shot();
                 }
+                if qelim_off {
+                    o = o.no_generalized_qelim();
+                }
+                let r = check_equivalence_param(&src, &tgt, &cfg, &o).unwrap();
+                assert_eq!(
+                    format!("{}", r.verdict),
+                    format!("{}", reference.verdict),
+                    "{label}: verdict diverges at one_shot={one_shot} qelim_off={qelim_off}"
+                );
             }
         }
     }
