@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Repo CI: build, full test suite, lints, and the fault-injection smokes
-# (sequential ladder and portfolio racing). Prints a per-suite wall-clock
+# Repo CI: build, full test suite (tests/fault_injection.rs among it covers
+# the degradation ladder's per-rung faults and cancellation), lints, and the
+# fault-injection smoke over the table grid. Prints a per-suite wall-clock
 # summary at the end so slow suites are visible in the log.
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -23,8 +24,6 @@ run_suite "cargo test" cargo test --workspace -q
 run_suite "cargo clippy" cargo clippy --workspace --all-targets -- -D warnings
 run_suite "fault-injection smoke (sequential)" \
   cargo run --release -p pug-bench --bin repro-tables -- --fault-injection --timeout 20
-run_suite "fault-injection smoke (portfolio)" \
-  cargo run --release -p pug-bench --bin repro-tables -- --portfolio --fault-injection
 # Perf smoke: runs multi-obligation equivalence rows through the
 # incremental and one-shot backends, exits non-zero if any verdict
 # diverges between the two, and gates each row's incremental wall time

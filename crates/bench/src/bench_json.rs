@@ -1,8 +1,8 @@
 //! Machine-readable incremental-vs-one-shot benchmark (`--bench-json`).
 //!
 //! Each row is a verification *scenario* — one or more `check_equivalence_param`
-//! phases over a kernel pair, modelling how the resilient runner and the
-//! portfolio actually issue obligations. Ladder rows run the degradation
+//! phases over a kernel pair, modelling how the resilient runner actually
+//! issues obligations. Ladder rows run the degradation
 //! ladder's FastBugHunt screen followed by a full proof: the two phases
 //! overlap on every value obligation, which is exactly the duplication the
 //! cross-rung [`QueryCache`] exists to eliminate. Single-phase rows measure
@@ -13,7 +13,7 @@
 //!
 //! Every scenario runs twice: once through the persistent
 //! [`pug_smt::SolveSession`] backend with a shared per-row [`QueryCache`]
-//! (`CheckOptions::default()`, what the runner/portfolio entry points use)
+//! (`CheckOptions::default()`, what the runner's rungs use)
 //! and once through the one-shot `check_detailed` path
 //! (`CheckOptions::one_shot()`, no cache). Per-stage timings
 //! (reduce / blast / solve), cache hit rates and clause reuse go out as

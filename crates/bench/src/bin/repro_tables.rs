@@ -18,7 +18,6 @@ struct Args {
     timeout: Duration,
     quick: bool,
     fault_injection: bool,
-    portfolio: bool,
     bench_json: Option<String>,
     baseline: Option<String>,
     trace: Option<String>,
@@ -31,7 +30,6 @@ fn parse_args() -> Args {
         timeout: Duration::from_secs(60),
         quick: false,
         fault_injection: false,
-        portfolio: false,
         bench_json: None,
         baseline: None,
         trace: None,
@@ -48,7 +46,6 @@ fn parse_args() -> Args {
             }
             "--quick" => args.quick = true,
             "--fault-injection" => args.fault_injection = true,
-            "--portfolio" => args.portfolio = true,
             "--bench-json" => {
                 args.bench_json = Some(it.next().unwrap_or_else(|| usage("missing path")))
             }
@@ -70,7 +67,7 @@ fn usage(err: &str) -> ! {
     }
     eprintln!(
         "usage: repro-tables [--table 2|3|scaling|all] [--timeout SECS] [--quick] \
-         [--fault-injection] [--portfolio] [--bench-json PATH] [--baseline PATH] \
+         [--fault-injection] [--bench-json PATH] [--baseline PATH] \
          [--trace PATH] [--explain]"
     );
     std::process::exit(if err.is_empty() { 0 } else { 2 });
@@ -148,7 +145,7 @@ fn main() {
         return;
     }
     if args.explain {
-        // Verdict narratives for the racing grid's corpus pairs.
+        // Verdict narratives for the explain corpus's pairs.
         print!("{}", pug_bench::explain_rows(args.quick));
         return;
     }
@@ -200,25 +197,6 @@ fn main() {
                     std::process::exit(1);
                 }
             }
-        }
-        return;
-    }
-    if args.portfolio {
-        if args.fault_injection {
-            let failures = pug_bench::portfolio_fault_smoke();
-            if failures > 0 {
-                eprintln!("portfolio fault-injection smoke: {failures} scenario(s) failed");
-                std::process::exit(1);
-            }
-            println!("portfolio fault-injection smoke: all faults survived, every task resolved");
-            return;
-        }
-        let rows = pug_bench::portfolio_rows(args.quick);
-        println!("{}", pug_bench::render_race_rows(&rows));
-        println!("{}", pug_bench::batch_demo());
-        if rows.iter().any(|r| !r.verdicts_match()) {
-            eprintln!("portfolio: racing diverged from the sequential ladder");
-            std::process::exit(1);
         }
         return;
     }

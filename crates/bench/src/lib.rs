@@ -16,11 +16,9 @@
 pub mod bench_json;
 pub mod cells;
 pub mod observe;
-pub mod portfolio;
 pub mod tables;
 
 pub use bench_json::{baseline_gate, bench_json_report, BenchJsonReport};
 pub use cells::Outcome;
 pub use observe::{explain_corpus, explain_rows, trace_smoke};
-pub use portfolio::{batch_demo, portfolio_fault_smoke, portfolio_rows, render_race_rows, RaceRow};
 pub use tables::{render_rows, scaling_rows, table2_rows, table3_rows, TableRow};

@@ -7,7 +7,7 @@
 //! story, a lost ladder rung, or a dropped witness is a regression even
 //! when the verdict is still right.
 //!
-//! Covered: every corpus pair of the racing grid (a sound Param proof, a
+//! Covered: every pair of the explain corpus (a sound Param proof, a
 //! deadline-driven NonParam fallback, three bug classes), a FastBugHunt
 //! bug found with every stronger rung exhausted, a budget-exhausted
 //! Unknown, and an auxiliary-pass narrative.
@@ -111,7 +111,7 @@ fn stable(report: &pugpara::ResilientReport) -> String {
     explain_with(report, &ExplainOptions::stable())
 }
 
-/// All six corpus pairs of the racing grid, ladder narratives only (no
+/// All six pairs of the explain corpus, ladder narratives only (no
 /// auxiliary passes: on the deadline-bound rows their budgeted queries
 /// are not run-to-run stable).
 #[test]

@@ -22,6 +22,7 @@
 //! In [`Mode::FastBugHunt`] families 2–3 are skipped (the paper's §IV-D
 //! fast bug hunting: reported bugs are real, proofs are under-approximate).
 
+use crate::cache::QueryCache;
 use crate::error::Error;
 use crate::kernel::KernelUnit;
 use crate::param::{extract_region, thread_range, ExtractOptions, ParamRegion};
@@ -33,7 +34,6 @@ use pug_ir::{
     align_headers, normalize_header, split_bis, Alignment, BoundConfig, GpuConfig, LoopSpace,
     Segment,
 };
-use crate::portfolio::QueryCache;
 use pug_obs::{MetricsRegistry, TraceSpan};
 use pug_smt::{
     assert_fingerprint, check_detailed_with, Budget, CancelToken, CheckStats, Ctx, Op,
@@ -78,8 +78,9 @@ pub struct CheckOptions {
     /// fresh solver per query. On by default; the one-shot path remains for
     /// differential testing and benchmarking.
     pub incremental: bool,
-    /// Cross-rung cache of discharged obligations, shared by the portfolio
-    /// scheduler; `None` disables caching.
+    /// Cross-rung cache of discharged obligations, shared by the rungs of
+    /// one ladder run (and by every job of the `pug-serve` daemon); `None`
+    /// disables caching.
     pub query_cache: Option<QueryCache>,
     /// Parent trace span: every query/segment span of this check opens
     /// under it. [`TraceSpan::disabled`] (the default) records nothing and

@@ -2,7 +2,7 @@
 //!
 //! [`explain_report`] turns a [`ResilientReport`] into a human-readable
 //! narrative: the verdict and its soundness, the degradation-ladder walk
-//! (which rungs ran, which answered, which were skipped or abandoned),
+//! (which rungs ran, which answered, which were skipped or failed),
 //! the answering rung's query families, the disposition of the residual
 //! quantified formulas, any counterexample witness, the auxiliary analysis
 //! passes, and — optionally — where the wall-clock budget went.
@@ -13,7 +13,7 @@
 //! splits) so the output can be pinned by golden snapshot tests.
 
 use crate::equiv::QueryStat;
-use crate::runner::{PassRecord, Provenance, ResilientReport, RungOutcome, RungRecord};
+use crate::runner::{PassRecord, ResilientReport, RungOutcome, RungRecord};
 use crate::verdict::{Soundness, Verdict};
 use std::collections::BTreeMap;
 use std::fmt::Write;
@@ -62,7 +62,7 @@ pub fn explain_with(report: &ResilientReport, opts: &ExplainOptions) -> String {
     // --- Ladder walk --------------------------------------------------
     let _ = writeln!(out, "\nladder:");
     for r in &prov.rungs {
-        let _ = writeln!(out, "  {:<16} {}", r.rung.to_string(), rung_story(r, prov, opts));
+        let _ = writeln!(out, "  {:<16} {}", r.rung.to_string(), rung_story(r, opts));
     }
 
     // --- Query families of the answering rung -------------------------
@@ -164,18 +164,9 @@ pub fn explain_with(report: &ResilientReport, opts: &ExplainOptions) -> String {
 }
 
 /// One-line narrative for a rung record.
-fn rung_story(r: &RungRecord, prov: &Provenance, opts: &ExplainOptions) -> String {
+fn rung_story(r: &RungRecord, opts: &ExplainOptions) -> String {
     match &r.outcome {
-        RungOutcome::Answered => {
-            let role = if prov.answered_by == Some(r.rung) {
-                "answered"
-            } else {
-                // Possible when a stronger rung's verdict was adopted over
-                // a weaker rung that also finished (portfolio racing).
-                "answered (not adopted)"
-            };
-            format!("{role} after {}", count_queries(r.queries))
-        }
+        RungOutcome::Answered => format!("answered after {}", count_queries(r.queries)),
         RungOutcome::Timeout => {
             if opts.show_times {
                 format!("ran out of budget after {}", count_queries(r.queries))
@@ -186,7 +177,6 @@ fn rung_story(r: &RungRecord, prov: &Provenance, opts: &ExplainOptions) -> Strin
         RungOutcome::Crashed(m) => format!("crashed: {m}"),
         RungOutcome::Failed(m) => format!("error: {m}"),
         RungOutcome::Skipped(m) => format!("skipped: {m}"),
-        RungOutcome::Abandoned => "abandoned — a stronger rung answered first".to_string(),
     }
 }
 

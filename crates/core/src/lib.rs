@@ -49,6 +49,7 @@
 //! assert!(report.verdict.is_verified());
 //! ```
 
+pub mod cache;
 pub mod capabilities;
 pub mod equiv;
 pub mod error;
@@ -57,7 +58,6 @@ pub mod kernel;
 pub mod nonparam;
 pub mod param;
 pub mod perf;
-pub mod portfolio;
 pub mod postcond;
 pub mod presburger;
 pub mod qelim;
@@ -67,6 +67,10 @@ pub mod runner;
 pub mod spec;
 pub mod verdict;
 
+pub use cache::{
+    QueryCache, QueryCacheStats, ShardStats, DEFAULT_QUERY_CACHE_CAPACITY,
+    DEFAULT_QUERY_CACHE_SHARDS,
+};
 pub use equiv::{
     check_equivalence_nonparam, check_equivalence_param, CheckOptions, Mode, QueryStat, Report,
 };
@@ -74,11 +78,6 @@ pub use error::Error;
 pub use explain::{explain_report, explain_with, ExplainOptions};
 pub use kernel::KernelUnit;
 pub use perf::{check_bank_conflicts, check_coalescing, PerfReport};
-pub use portfolio::{
-    run_portfolio, verify_all, verify_all_on, PortfolioOptions, QueryCache, QueryCacheStats,
-    ShardStats, VerifyTask, WorkerPool, DEFAULT_QUERY_CACHE_CAPACITY,
-    DEFAULT_QUERY_CACHE_SHARDS,
-};
 pub use postcond::{check_postcondition_nonparam, check_postcondition_param};
 pub use pug_smt::failpoints;
 pub use race::check_races;

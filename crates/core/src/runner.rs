@@ -18,12 +18,15 @@
 //!
 //! Each rung runs under [`std::panic::catch_unwind`] with its own
 //! [`CancelToken`] armed by a [`Watchdog`] thread, so a hung or crashing
-//! rung costs one rung, not the process. Every rung's fate is recorded in a
-//! [`Provenance`] so the final verdict says *which* encoding answered, what
-//! was spent on the way down, and how soundness degraded.
+//! rung costs one rung, not the process. Every rung's token is a child of
+//! [`RunnerOptions::cancel`]: cancelling that stops the whole run, while a
+//! rung's watchdog trips only its own rung. Every rung's fate is recorded
+//! in a [`Provenance`] so the final verdict says *which* encoding answered,
+//! what was spent on the way down, and how soundness degraded.
 
+use crate::cache::QueryCache;
 use crate::equiv::{
-    check_equivalence_nonparam, check_equivalence_param, CheckOptions, QueryStat, Report,
+    check_equivalence_nonparam, check_equivalence_param, CheckOptions, Mode, QueryStat, Report,
 };
 use crate::error::Error;
 use crate::kernel::KernelUnit;
@@ -64,7 +67,7 @@ impl Rung {
     }
 
     /// The soundness qualification a *clean* verdict from this rung carries.
-    pub(crate) fn downgrade(&self) -> Option<String> {
+    fn downgrade(&self) -> Option<String> {
         match self {
             Rung::Param => None,
             Rung::ParamConcretized => Some(
@@ -106,10 +109,6 @@ pub enum RungOutcome {
     Failed(String),
     /// The rung was not applicable (e.g. no "+C." values configured).
     Skipped(String),
-    /// Portfolio racing only: a higher-priority rung answered first and
-    /// this rung was cancelled mid-flight. Its partial cost is still
-    /// recorded in the [`RungRecord`].
-    Abandoned,
 }
 
 impl fmt::Display for RungOutcome {
@@ -120,7 +119,6 @@ impl fmt::Display for RungOutcome {
             RungOutcome::Crashed(m) => write!(f, "crashed: {m}"),
             RungOutcome::Failed(m) => write!(f, "error: {m}"),
             RungOutcome::Skipped(m) => write!(f, "skipped: {m}"),
-            RungOutcome::Abandoned => write!(f, "abandoned (lost the race)"),
         }
     }
 }
@@ -203,17 +201,6 @@ impl Provenance {
     pub fn total_spent(&self) -> Duration {
         self.rungs.iter().map(|r| r.elapsed).sum()
     }
-
-    /// Wall-clock spent on rungs that were cancelled after losing a
-    /// portfolio race — the price of racing, separated out so batch
-    /// reports can show what speculation cost.
-    pub fn abandoned_cost(&self) -> Duration {
-        self.rungs
-            .iter()
-            .filter(|r| matches!(r.outcome, RungOutcome::Abandoned))
-            .map(|r| r.elapsed)
-            .sum()
-    }
 }
 
 /// Verdict plus provenance: the runner's result.
@@ -244,10 +231,10 @@ pub struct RunnerOptions {
     pub max_clause_bytes: Option<usize>,
     /// Memory cap on hash-consed term nodes, per rung.
     pub max_term_nodes: Option<usize>,
-    /// Cross-rung cache of discharged obligations. `None` makes each
-    /// runner/batch entry point create its own, so rungs of one run always
-    /// share; supply one explicitly to share across runs.
-    pub query_cache: Option<crate::portfolio::QueryCache>,
+    /// Cross-rung cache of discharged obligations. `None` makes
+    /// [`run_resilient`] create its own, so rungs of one run always share;
+    /// supply one explicitly to share across runs.
+    pub query_cache: Option<QueryCache>,
     /// Structured trace sink. [`TraceSink::disabled`] (the default) costs
     /// one branch per query; a recording sink captures the span tree
     /// `verify > rung:… > bi:… > query:…` for JSONL export.
@@ -266,6 +253,11 @@ pub struct RunnerOptions {
     /// default; the differential suites turn it off to prove the ladder
     /// reaches identical verdicts through the legacy residual-drop path.
     pub generalized_qelim: bool,
+    /// Parent of every rung's and aux pass's cancellation token: cancelling
+    /// it stops the running rung and every one after it. Each rung's
+    /// watchdog trips only that rung's child token, never this one. The
+    /// default is a fresh root; `pug-serve` passes its job token.
+    pub cancel: CancelToken,
 }
 
 impl Default for RunnerOptions {
@@ -283,6 +275,7 @@ impl Default for RunnerOptions {
             aux_passes: false,
             normalize: true,
             generalized_qelim: true,
+            cancel: CancelToken::new(),
         }
     }
 }
@@ -322,6 +315,26 @@ impl RunnerOptions {
     pub fn no_generalized_qelim(mut self) -> RunnerOptions {
         self.generalized_qelim = false;
         self
+    }
+
+    /// Checker options for one rung or aux pass: the run's caps, cache,
+    /// trace parent, metrics and engine switches, under a child of
+    /// [`RunnerOptions::cancel`]. Aux passes share the run's cache and
+    /// canonicalization policy: their obligations fingerprint the same
+    /// way, so the registry's per-lookup counters cover every query.
+    fn check_options(&self, timeout: Option<Duration>, trace: TraceSpan) -> CheckOptions {
+        CheckOptions {
+            timeout,
+            cancel: self.cancel.child(),
+            max_clause_bytes: self.max_clause_bytes,
+            max_term_nodes: self.max_term_nodes,
+            query_cache: self.query_cache.clone(),
+            trace,
+            metrics: self.metrics.clone(),
+            normalize: self.normalize,
+            generalized_qelim: self.generalized_qelim,
+            ..CheckOptions::default()
+        }
     }
 }
 
@@ -403,35 +416,24 @@ fn pin_config(cfg: &GpuConfig, n: u64) -> GpuConfig {
     c
 }
 
-/// How one rung resolved, internally. Shared with [`crate::portfolio`].
-pub(crate) enum RungResult {
-    Verdict(Report),
-    Timeout,
-    Crashed(String),
-    Failed(String),
-}
-
 /// Run one rung under its fault boundary: failpoint, watchdog, panic catch.
-///
-/// The caller supplies the rung's [`CancelToken`] so an external arbiter
-/// (the portfolio scheduler) can retain a handle and cancel the rung
-/// mid-flight; the sequential ladder passes a fresh token per rung.
-pub(crate) fn run_rung<F>(
+/// The watchdog trips the rung's own token, a child of
+/// [`RunnerOptions::cancel`]. Returns the rung's record and, when it
+/// answered, its verdict.
+fn run_rung(
     rung: Rung,
+    src: &KernelUnit,
+    tgt: &KernelUnit,
+    cfg: &GpuConfig,
+    opts: &RunnerOptions,
     timeout: Option<Duration>,
-    token: CancelToken,
     trace: TraceSpan,
-    metrics: MetricsRegistry,
-    f: F,
-) -> (RungResult, Duration, Vec<QueryStat>)
-where
-    F: FnOnce(CheckOptions) -> Result<Report, Error>,
-{
+) -> (RungRecord, Option<Verdict>) {
     let started = Instant::now();
-    let _watchdog = timeout.map(|t| Watchdog::arm(token.clone(), t));
+    let mut check = opts.check_options(timeout, trace);
+    let _watchdog = timeout.map(|t| Watchdog::arm(check.cancel.clone(), t));
 
-    let opts = CheckOptions { timeout, cancel: token, trace, metrics, ..CheckOptions::default() };
-    let outcome = catch_unwind(AssertUnwindSafe(|| {
+    let outcome = catch_unwind(AssertUnwindSafe(move || {
         // Fault injection: `Panic` unwinds from inside the boundary, exactly
         // like a checker bug would.
         if let Some(Fault::BudgetExhausted | Fault::SpuriousUnknown) = failpoints::trip(rung.site())
@@ -442,96 +444,34 @@ where
                 elapsed: Duration::ZERO,
             });
         }
-        f(opts)
+        match rung {
+            Rung::Param => check_equivalence_param(src, tgt, cfg, &check),
+            Rung::ParamConcretized => {
+                check.concretize = opts.concretize.clone();
+                check_equivalence_param(src, tgt, cfg, &check)
+            }
+            Rung::NonParam { n } => {
+                check_equivalence_nonparam(src, tgt, &pin_config(cfg, n), &check)
+            }
+            Rung::FastBugHunt => {
+                check.mode = Mode::FastBugHunt;
+                check_equivalence_param(src, tgt, cfg, &check)
+            }
+        }
     }));
     let elapsed = started.elapsed();
 
-    match outcome {
-        Err(payload) => (RungResult::Crashed(panic_message(&*payload)), elapsed, Vec::new()),
-        Ok(Err(e)) => (RungResult::Failed(e.to_string()), elapsed, Vec::new()),
-        Ok(Ok(report)) => match report.verdict {
-            // A timed-out rung still issued real queries; keep them so
-            // provenance shows where the budget went.
-            Verdict::Timeout => (RungResult::Timeout, elapsed, report.queries),
-            _ => {
-                let queries = report.queries.clone();
-                (RungResult::Verdict(report), elapsed, queries)
-            }
-        },
-    }
-}
-
-/// The runnable ladder for `opts`, in descending soundness order, plus the
-/// pre-skipped records for rungs that are not applicable (Param+C without
-/// concretized parameters). Shared by the sequential ladder and the
-/// portfolio racer so both modes attempt — and arbitrate over — the exact
-/// same rung set.
-pub(crate) fn build_ladder(opts: &RunnerOptions) -> (Vec<Rung>, Vec<RungRecord>) {
-    let mut ladder: Vec<Rung> = vec![Rung::Param];
-    let mut skipped = Vec::new();
-    if !opts.concretize.is_empty() {
-        ladder.push(Rung::ParamConcretized);
-    } else {
-        skipped.push(RungRecord {
-            rung: Rung::ParamConcretized,
-            outcome: RungOutcome::Skipped("no concretized parameters configured".into()),
-            elapsed: Duration::ZERO,
-            queries: 0,
-            stats: Vec::new(),
-        });
-    }
-    ladder.extend(opts.fallback_ns.iter().map(|&n| Rung::NonParam { n }));
-    ladder.push(Rung::FastBugHunt);
-    (ladder, skipped)
-}
-
-/// Per-rung wall-clock budget: the first-rung timeout scaled by
-/// `backoff^index` over the runnable ladder. Index-based (not
-/// descent-based) so the racing scheduler hands out the same budgets the
-/// sequential ladder would.
-pub(crate) fn rung_timeout(opts: &RunnerOptions, index: usize) -> Option<Duration> {
-    opts.rung_timeout.map(|t| t.mul_f64(opts.backoff.max(0.01).powi(index as i32)))
-}
-
-/// Dispatch one rung's check with the runner-level caps applied.
-pub(crate) fn dispatch_rung(
-    rung: Rung,
-    src: &KernelUnit,
-    tgt: &KernelUnit,
-    cfg: &GpuConfig,
-    opts: &RunnerOptions,
-    mut check_opts: CheckOptions,
-) -> Result<Report, Error> {
-    check_opts.max_clause_bytes = opts.max_clause_bytes;
-    check_opts.max_term_nodes = opts.max_term_nodes;
-    check_opts.query_cache = opts.query_cache.clone();
-    check_opts.normalize = opts.normalize;
-    check_opts.generalized_qelim = opts.generalized_qelim;
-    match rung {
-        Rung::Param => check_equivalence_param(src, tgt, cfg, &check_opts),
-        Rung::ParamConcretized => {
-            check_opts.concretize = opts.concretize.clone();
-            check_equivalence_param(src, tgt, cfg, &check_opts)
+    let (outcome, answer, stats) = match outcome {
+        Err(payload) => (RungOutcome::Crashed(panic_message(&*payload)), None, Vec::new()),
+        Ok(Err(e)) => (RungOutcome::Failed(e.to_string()), None, Vec::new()),
+        // A timed-out rung still issued real queries; keep them so
+        // provenance shows where the budget went.
+        Ok(Ok(Report { verdict: Verdict::Timeout, queries, .. })) => {
+            (RungOutcome::Timeout, None, queries)
         }
-        Rung::NonParam { n } => {
-            let pinned = pin_config(cfg, n);
-            check_equivalence_nonparam(src, tgt, &pinned, &check_opts)
-        }
-        Rung::FastBugHunt => {
-            check_opts.mode = crate::equiv::Mode::FastBugHunt;
-            check_equivalence_param(src, tgt, cfg, &check_opts)
-        }
-    }
-}
-
-/// Soundness-downgrade a rung's verdict exactly as the sequential ladder
-/// does: a clean verdict from a weaker rung is only an under-approximate
-/// proof of the parameterized claim; bugs stay bugs.
-pub(crate) fn adopt_verdict(verdict: Verdict, rung: Rung) -> Verdict {
-    match (verdict, rung.downgrade()) {
-        (Verdict::Verified(_), Some(_)) => Verdict::Verified(Soundness::UnderApprox),
-        (v, _) => v,
-    }
+        Ok(Ok(report)) => (RungOutcome::Answered, Some(report.verdict), report.queries),
+    };
+    (RungRecord { rung, outcome, elapsed, queries: stats.len(), stats }, answer)
 }
 
 /// Run the full degradation ladder for the equivalence of `src` and `tgt`.
@@ -548,24 +488,34 @@ pub fn run_resilient(
 ) -> ResilientReport {
     let started = Instant::now();
     let mut prov = Provenance::default();
-    let (ladder, skipped) = build_ladder(opts);
-    if opts.metrics.is_enabled() {
-        for r in &skipped {
-            opts.metrics.incr(rung_outcome_key(&r.outcome));
-        }
-    }
-    prov.rungs.extend(skipped);
 
     // Ladder descent reuses discharged obligations: what the Param rung
     // proved before timing out, FastBugHunt need not prove again.
     let mut opts_with_cache;
     let opts = if opts.query_cache.is_none() {
         opts_with_cache = opts.clone();
-        opts_with_cache.query_cache = Some(crate::portfolio::QueryCache::new());
+        opts_with_cache.query_cache = Some(QueryCache::new());
         &opts_with_cache
     } else {
         opts
     };
+
+    let mut ladder = vec![Rung::Param];
+    if opts.concretize.is_empty() {
+        let outcome = RungOutcome::Skipped("no concretized parameters configured".into());
+        opts.metrics.incr(rung_outcome_key(&outcome));
+        prov.rungs.push(RungRecord {
+            rung: Rung::ParamConcretized,
+            outcome,
+            elapsed: Duration::ZERO,
+            queries: 0,
+            stats: Vec::new(),
+        });
+    } else {
+        ladder.push(Rung::ParamConcretized);
+    }
+    ladder.extend(opts.fallback_ns.iter().map(|&n| Rung::NonParam { n }));
+    ladder.push(Rung::FastBugHunt);
 
     let verify_span = if opts.trace.is_enabled() {
         TraceSpan::root(opts.trace.clone()).child_with(
@@ -579,87 +529,68 @@ pub fn run_resilient(
         TraceSpan::disabled()
     };
 
+    let mut verdict = Verdict::Timeout;
     for (index, rung) in ladder.into_iter().enumerate() {
-        let timeout = rung_timeout(opts, index);
+        // Cancelled from outside (the daemon's disconnect, drain or job
+        // deadline): no further rung starts.
+        if opts.cancel.is_cancelled() {
+            break;
+        }
+        let timeout =
+            opts.rung_timeout.map(|t| t.mul_f64(opts.backoff.max(0.01).powi(index as i32)));
         let rung_span = if verify_span.is_enabled() {
             verify_span.child(&format!("rung:{rung}"))
         } else {
             TraceSpan::disabled()
         };
-        let (result, elapsed, stats) = run_rung(
-            rung,
-            timeout,
-            CancelToken::new(),
-            rung_span.clone(),
-            opts.metrics.clone(),
-            |check_opts| dispatch_rung(rung, src, tgt, cfg, opts, check_opts),
-        );
+        let (record, answer) = run_rung(rung, src, tgt, cfg, opts, timeout, rung_span.clone());
+        if rung_span.is_enabled() {
+            rung_span.close_with(vec![
+                ("outcome", record.outcome.to_string().into()),
+                ("queries", record.queries.into()),
+            ]);
+        }
+        opts.metrics.incr(rung_outcome_key(&record.outcome));
+        prov.rungs.push(record);
 
-        let (outcome, answer) = match result {
-            RungResult::Verdict(report) => (RungOutcome::Answered, Some(report)),
-            RungResult::Timeout => (RungOutcome::Timeout, None),
-            RungResult::Crashed(m) => (RungOutcome::Crashed(m), None),
-            RungResult::Failed(m) => (RungOutcome::Failed(m), None),
-        };
-        note_rung_outcome(opts, &rung_span, &outcome, stats.len());
-        prov.rungs.push(RungRecord { rung, outcome, elapsed, queries: stats.len(), stats });
-
-        if let Some(report) = answer {
+        if let Some(answer) = answer {
             prov.answered_by = Some(rung);
             prov.soundness_note = rung.downgrade();
-            let verdict = adopt_verdict(report.verdict, rung);
-            if opts.aux_passes {
-                prov.passes = run_aux_passes(tgt, cfg, opts, &verify_span);
-            }
-            verify_span.close_with(vec![("verdict", verdict.to_string().into())]);
-            if let Some(cache) = &opts.query_cache {
-                cache.publish(&opts.metrics);
-            }
-            return ResilientReport { verdict, provenance: prov, elapsed: started.elapsed() };
+            // A clean verdict from a weaker rung is only an
+            // under-approximate proof of the parameterized claim; bugs stay
+            // bugs.
+            verdict = match answer {
+                Verdict::Verified(_) if prov.soundness_note.is_some() => {
+                    Verdict::Verified(Soundness::UnderApprox)
+                }
+                v => v,
+            };
+            break;
         }
     }
 
     if opts.aux_passes {
         prov.passes = run_aux_passes(tgt, cfg, opts, &verify_span);
     }
-    verify_span.close_with(vec![("verdict", "timeout (no rung answered)".into())]);
+    let closing = match prov.answered_by {
+        Some(_) => verdict.to_string(),
+        None => "timeout (no rung answered)".to_string(),
+    };
+    verify_span.close_with(vec![("verdict", closing.into())]);
     if let Some(cache) = &opts.query_cache {
         cache.publish(&opts.metrics);
     }
-    ResilientReport {
-        verdict: Verdict::Timeout,
-        provenance: prov,
-        elapsed: started.elapsed(),
-    }
-}
-
-/// Record a rung's fate in the trace and the outcome counters.
-pub(crate) fn note_rung_outcome(
-    opts: &RunnerOptions,
-    rung_span: &TraceSpan,
-    outcome: &RungOutcome,
-    queries: usize,
-) {
-    if rung_span.is_enabled() {
-        rung_span.close_with(vec![
-            ("outcome", outcome.to_string().into()),
-            ("queries", queries.into()),
-        ]);
-    }
-    if opts.metrics.is_enabled() {
-        opts.metrics.incr(rung_outcome_key(outcome));
-    }
+    ResilientReport { verdict, provenance: prov, elapsed: started.elapsed() }
 }
 
 /// Metrics counter name for a rung outcome.
-pub(crate) fn rung_outcome_key(outcome: &RungOutcome) -> &'static str {
+fn rung_outcome_key(outcome: &RungOutcome) -> &'static str {
     match outcome {
         RungOutcome::Answered => "runner.rung.answered",
         RungOutcome::Timeout => "runner.rung.timeout",
         RungOutcome::Crashed(_) => "runner.rung.crashed",
         RungOutcome::Failed(_) => "runner.rung.failed",
         RungOutcome::Skipped(_) => "runner.rung.skipped",
-        RungOutcome::Abandoned => "runner.rung.abandoned",
     }
 }
 
@@ -667,7 +598,7 @@ pub(crate) fn rung_outcome_key(outcome: &RungOutcome) -> &'static str {
 /// the *target* kernel — the artifact actually shipped — under the same
 /// caps as a rung, each inside its own fault boundary. Their `QueryStat`s
 /// used to be dropped on the floor; they now ride in the provenance.
-pub(crate) fn run_aux_passes(
+fn run_aux_passes(
     tgt: &KernelUnit,
     cfg: &GpuConfig,
     opts: &RunnerOptions,
@@ -707,20 +638,7 @@ pub(crate) fn run_aux_passes(
         } else {
             TraceSpan::disabled()
         };
-        let check = CheckOptions {
-            timeout: opts.rung_timeout,
-            max_clause_bytes: opts.max_clause_bytes,
-            max_term_nodes: opts.max_term_nodes,
-            trace: span.clone(),
-            metrics: opts.metrics.clone(),
-            // Aux passes share the run's cache and canonicalization policy:
-            // their obligations fingerprint the same way, so the registry's
-            // per-lookup counters cover every query of the run.
-            query_cache: opts.query_cache.clone(),
-            normalize: opts.normalize,
-            generalized_qelim: opts.generalized_qelim,
-            ..CheckOptions::default()
-        };
+        let check = opts.check_options(opts.rung_timeout, span.clone());
         let started = Instant::now();
         let (summary, stats) =
             match catch_unwind(AssertUnwindSafe(|| pass(tgt, cfg, &check))) {

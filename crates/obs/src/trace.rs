@@ -3,11 +3,11 @@
 //! A [`TraceSink`] collects [`TraceEvent`]s — span opens, span closes and
 //! instant points — into an in-memory buffer guarded by a mutex. Sequence
 //! numbers and span ids are allocated *under* that lock so the event stream
-//! is totally ordered even when worker threads record concurrently (the
-//! portfolio runs rungs on a pool). The sink is an `Option<Arc<..>>`
-//! internally: [`TraceSink::disabled`] holds `None`, so every recording
-//! method is a single branch on a niche-optimised option — near-zero cost,
-//! and the guarantee the trace-parity suite measures.
+//! is totally ordered even when several threads record into one sink. The
+//! sink is an `Option<Arc<..>>` internally: [`TraceSink::disabled`] holds
+//! `None`, so every recording method is a single branch on a
+//! niche-optimised option — near-zero cost, and the guarantee the
+//! trace-parity suite measures.
 //!
 //! Callers thread a [`TraceSpan`] (sink + current parent id) through the
 //! pipeline instead of the raw sink; `child`/`point` on a disabled span are

@@ -16,9 +16,10 @@ use std::time::{Duration, Instant};
 /// Tokens form a *tree*: [`child`](CancelToken::child) derives a token that
 /// trips when either itself or any ancestor is cancelled, while cancelling
 /// the child leaves the parent — and every sibling — untouched. This is the
-/// isolation contract portfolio racing relies on: one rung exhausting its
-/// budget must never take a concurrently racing sibling down with it, yet
-/// a supervisor holding the root can still stop the whole portfolio.
+/// contract the degradation ladder relies on: a rung's watchdog trips only
+/// that rung's child token, never the run's parent or a later rung, yet a
+/// supervisor holding the parent (a `pug-serve` job token) can still stop
+/// the whole run.
 #[derive(Clone, Debug, Default)]
 pub struct CancelToken {
     flag: Arc<AtomicBool>,

@@ -1,9 +1,10 @@
 //! Cancel-storm tests for the hierarchical [`CancelToken`].
 //!
-//! The portfolio runner and the `pug-serve` daemon both lean on the same
-//! contract: cancelling one child token never disturbs a sibling, while a
-//! parent cancel reaches every descendant — including descendants created
-//! *while* the cancel is in flight. These tests hammer that contract from
+//! The degradation ladder and the `pug-serve` daemon both lean on the same
+//! contract: cancelling one child token (a rung's watchdog) never disturbs
+//! a sibling or the parent, while a parent cancel (a daemon job's
+//! disconnect, drain or deadline) reaches every descendant — including
+//! descendants created *while* the cancel is in flight. These tests hammer that contract from
 //! many threads at once; the unit tests in `budget.rs` cover the
 //! single-threaded semantics.
 

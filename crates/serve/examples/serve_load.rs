@@ -8,7 +8,7 @@
 //!   `capacity = 8` — most submissions shed; clients retry on the
 //!   `retry_after_ms` hint until every job lands a verdict.
 //! * **Agreement**: every service verdict is compared **byte-for-byte**
-//!   against the in-process [`run_portfolio`] answer for the same pair
+//!   against the in-process [`run_resilient`] answer for the same pair
 //!   (the sticky failpoint degrades both sides identically).
 //! * **Disconnects**: connections that pipeline jobs and vanish without
 //!   reading; the daemon must cancel exactly those jobs and drain to zero
@@ -31,8 +31,7 @@ use pug_serve::protocol::{verify_corpus_request, verify_inline_request};
 use pug_serve::server::{start, ServeConfig};
 use pug_smt::failpoints::{self, Fault};
 use pug_testutil::KernelGen;
-use pugpara::portfolio::{run_portfolio, PortfolioOptions};
-use pugpara::runner::RunnerOptions;
+use pugpara::runner::run_resilient;
 use pugpara::KernelUnit;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -92,9 +91,9 @@ fn distinct_pairs() -> Vec<Pair> {
     pairs
 }
 
-/// In-process baseline verdict for a pair, same per-rung budget as the
-/// daemon grants.
-fn baseline(pair: &Pair) -> String {
+/// In-process baseline verdict for a pair, under the ladder policy the
+/// daemon's jobs run with.
+fn baseline(serve: &ServeConfig, pair: &Pair) -> String {
     let load_corpus = |name: &str| {
         let (src, _) = pug_serve::corpus::lookup(name).expect("corpus name");
         KernelUnit::load(src).expect("corpus kernel loads")
@@ -114,11 +113,7 @@ fn baseline(pair: &Pair) -> String {
             GpuConfig::symbolic_1d(8),
         ),
     };
-    let opts = PortfolioOptions {
-        runner: RunnerOptions { rung_timeout: Some(RUNG_TIMEOUT), ..RunnerOptions::default() },
-        threads: None,
-    };
-    run_portfolio(&src, &tgt, &cfg, &opts).verdict.to_string()
+    run_resilient(&src, &tgt, &cfg, &serve.runner_options()).verdict.to_string()
 }
 
 fn percentile(sorted: &[Duration], p: f64) -> Duration {
@@ -216,18 +211,18 @@ fn main() {
     // for the baselines AND the service — agreement must hold anyway.
     failpoints::arm("runner::param", Fault::Panic);
 
-    let pairs = distinct_pairs();
-    println!("== baselines: {} distinct pairs (in-process run_portfolio) ==", pairs.len());
-    let t0 = Instant::now();
-    let expected: Vec<String> = pairs.iter().map(baseline).collect();
-    println!("   done in {:?}", t0.elapsed());
-
     let cfg = ServeConfig {
         capacity: CAPACITY,
         rung_timeout: RUNG_TIMEOUT,
         drain: DRAIN,
         ..ServeConfig::default()
     };
+    let pairs = distinct_pairs();
+    println!("== baselines: {} distinct pairs (in-process run_resilient) ==", pairs.len());
+    let t0 = Instant::now();
+    let expected: Vec<String> = pairs.iter().map(|p| baseline(&cfg, p)).collect();
+    println!("   done in {:?}", t0.elapsed());
+
     let server = start(&cfg, "127.0.0.1:0").expect("daemon starts");
     let addr = server.addr();
     println!("== daemon on {addr} (capacity {CAPACITY}) ==");

@@ -3,11 +3,17 @@
 //! The repo's no-new-deps rule (the container is offline) rules out serde;
 //! the protocol needs objects, strings, numbers, booleans and arrays, so
 //! this is a ~300-line value type with a recursive-descent parser and a
-//! deterministic writer. Object keys keep insertion order, so rendered
-//! responses are byte-stable — the load driver compares service verdicts
-//! against in-process verdicts textually.
+//! deterministic writer. The parser bounds its nesting depth, so a hostile
+//! line cannot overflow the stack of the thread that reads it. Object keys
+//! keep insertion order, so rendered responses are byte-stable — the load
+//! driver compares service verdicts against in-process verdicts textually.
 
 use std::fmt;
+
+/// Deepest array/object nesting the parser accepts. Requests nest at most
+/// two deep; the bound keeps the recursive descent far from the end of a
+/// 2 MiB thread stack.
+const MAX_DEPTH: usize = 64;
 
 /// A JSON value. Numbers are `f64` (every protocol number fits well below
 /// 2^53, where `f64` is exact for integers).
@@ -163,7 +169,7 @@ impl Json {
     /// Parse one JSON value; trailing non-whitespace is an error.
     pub fn parse(input: &str) -> Result<Json, String> {
         let bytes = input.as_bytes();
-        let mut p = Parser { bytes, pos: 0 };
+        let mut p = Parser { bytes, pos: 0, depth: 0 };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
@@ -199,6 +205,8 @@ fn write_escaped(s: &str, out: &mut String) {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -227,8 +235,11 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<Json, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') if self.depth == MAX_DEPTH => {
+                Err(format!("nesting deeper than {MAX_DEPTH} at byte {}", self.pos))
+            }
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -237,6 +248,14 @@ impl<'a> Parser<'a> {
             Some(other) => Err(format!("unexpected `{}` at byte {}", other as char, self.pos)),
             None => Err("unexpected end of input".into()),
         }
+    }
+
+    /// Parse one array or object one level deeper.
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn literal(&mut self, word: &str, value: Json) -> Result<Json, String> {
@@ -432,6 +451,16 @@ mod tests {
         assert!(Json::parse("[1,]").is_err());
         assert!(Json::parse("{} trailing").is_err());
         assert!(Json::parse("\"unterminated").is_err());
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        assert!(Json::parse(&"[".repeat(100_000)).is_err());
+        assert!(Json::parse(&"{\"a\":".repeat(100_000)).is_err());
+        let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&ok).is_ok());
+        let deep = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        assert!(Json::parse(&deep).unwrap_err().contains("nesting"));
     }
 
     #[test]

@@ -1,12 +1,13 @@
 //! # pug-serve — a fault-tolerant persistent verification service
 //!
-//! Batch verification (`pugpara::portfolio::verify_all`) answers "check
-//! this corpus once"; this crate answers "keep a verifier *warm* and let
+//! The in-process runner (`pugpara::runner::run_resilient`) answers "check
+//! this pair once"; this crate answers "keep a verifier *warm* and let
 //! many clients submit kernel pairs over time". A long-lived daemon owns
-//! one shared [`pugpara::portfolio::WorkerPool`], one process-wide bounded
-//! [`pugpara::portfolio::QueryCache`] and one `pug-obs`
-//! [`pug_obs::MetricsRegistry`]; jobs arrive as line-delimited JSON over
-//! TCP (hand-rolled — the build is offline, so no serde/tokio/hyper).
+//! one shared worker pool, which runs each job's degradation ladder as one
+//! pool job, one process-wide bounded [`pugpara::QueryCache`] and one
+//! `pug-obs` [`pug_obs::MetricsRegistry`]; jobs arrive as line-delimited
+//! JSON over TCP (hand-rolled — the build is offline, so no
+//! serde/tokio/hyper).
 //!
 //! The four properties the daemon guarantees (see [`server`] for the
 //! mechanics, and `DESIGN.md` §6 for the rationale):
@@ -30,6 +31,7 @@
 pub mod client;
 pub mod corpus;
 pub mod json;
+mod pool;
 pub mod protocol;
 pub mod server;
 pub mod signal;

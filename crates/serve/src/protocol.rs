@@ -129,9 +129,8 @@ pub fn provenance_json(prov: &Provenance) -> Json {
 /// Terminal `verdict` response for a completed job.
 ///
 /// `verdict` is the canonical [`pugpara::Verdict`] rendering — the exact
-/// string an in-process [`pugpara::runner::run_resilient`] /
-/// [`pugpara::portfolio::run_portfolio`] caller would print, so
-/// service-vs-in-process agreement can be asserted byte-for-byte.
+/// string an in-process [`pugpara::runner::run_resilient`] caller would
+/// print, so service-vs-in-process agreement can be asserted byte-for-byte.
 pub fn verdict_response(id: &str, report: &ResilientReport, explain: Option<String>) -> Json {
     let mut fields = vec![
         ("type", "verdict".into()),

@@ -4,13 +4,16 @@
 //! ## Fault boundaries, inside out
 //!
 //! 1. **Rung** — every ladder rung already runs under `catch_unwind` plus
-//!    its own watchdog'd [`CancelToken`] (see `pugpara::runner::run_rung`);
-//!    a panicking or hung encoding costs that rung only.
+//!    its own watchdog'd [`CancelToken`] (see [`pugpara::runner`]); a
+//!    panicking or hung encoding costs that rung only.
 //! 2. **Job** — each admitted job gets a child token of the daemon root, a
 //!    hard wall-clock deadline, and a `catch_unwind` around the whole job
 //!    thread, so even a bug in the service layer poisons one job, never
-//!    the daemon. The shared [`QueryCache`] recovers poisoned locks
-//!    explicitly, so a crashed job cannot silently disable caching.
+//!    the daemon. The job runs [`run_resilient`] as one job on the shared
+//!    worker pool with its token as [`RunnerOptions::cancel`], so every
+//!    rung's token is a child of the job's. The shared [`QueryCache`]
+//!    recovers poisoned locks explicitly, so a crashed job cannot silently
+//!    disable caching.
 //! 3. **Connection** — a vanished client cancels exactly its own in-flight
 //!    jobs (their tokens are tracked per connection); other connections and
 //!    the pool never notice.
@@ -31,6 +34,7 @@
 
 use crate::corpus::{self, Dims};
 use crate::json::Json;
+use crate::pool::WorkerPool;
 use crate::protocol::{
     aborted_response, error_response, overloaded_response, parse_request, shutting_down_response,
     verdict_response, KernelSpec, Request, VerifyRequest,
@@ -40,15 +44,14 @@ use pug_ir::GpuConfig;
 use pug_obs::MetricsRegistry;
 use pug_smt::{CancelToken, ResourceBudget};
 use pugpara::explain::{explain_with, ExplainOptions};
-use pugpara::portfolio::{verify_all_on, PortfolioOptions, QueryCache, VerifyTask, WorkerPool};
-use pugpara::runner::{panic_message, ResilientReport, RunnerOptions, Watchdog};
-use pugpara::{KernelUnit, Verdict};
+use pugpara::runner::{panic_message, run_resilient, RunnerOptions, Watchdog};
+use pugpara::{KernelUnit, QueryCache, Verdict};
 use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{mpsc, Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -56,7 +59,8 @@ use std::time::{Duration, Instant};
 /// field can be overridden from the CLI.
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
-    /// Worker threads in the shared rung pool. `0` = `max(4, cores)`.
+    /// Worker threads in the shared job pool; each runs one job's ladder
+    /// at a time. `0` = `max(4, cores)`.
     pub workers: usize,
     /// Admission bound (running + admitted jobs). `0` = derive from
     /// `budget` (process caps ÷ per-job slice).
@@ -93,6 +97,23 @@ impl Default for ServeConfig {
             drain: Duration::from_secs(10),
             cache_capacity: pugpara::DEFAULT_QUERY_CACHE_CAPACITY,
             retry_after: Duration::from_millis(200),
+        }
+    }
+}
+
+impl ServeConfig {
+    /// The ladder policy of a job: the default rung budget and the per-job
+    /// memory slice. A request may override the rung budget, and the
+    /// daemon adds its shared cache, its metrics registry and the job's
+    /// cancellation token. In-process baselines run [`run_resilient`]
+    /// under these options to reproduce the daemon's verdicts.
+    pub fn runner_options(&self) -> RunnerOptions {
+        let resolved = resolve(self);
+        RunnerOptions {
+            rung_timeout: Some(self.rung_timeout),
+            max_clause_bytes: resolved.job_clause_bytes,
+            max_term_nodes: resolved.job_term_nodes,
+            ..RunnerOptions::default()
         }
     }
 }
@@ -169,6 +190,8 @@ struct Shared {
     pool: WorkerPool,
     cache: QueryCache,
     metrics: MetricsRegistry,
+    /// Every job's ladder policy, with `cache` and `metrics` attached.
+    runner: RunnerOptions,
     inflight: AtomicUsize,
     /// Drain deadline requested over the protocol (`ms + 1`; 0 = none).
     shutdown_req: AtomicU64,
@@ -267,13 +290,21 @@ pub fn start(cfg: &ServeConfig, addr: &str) -> io::Result<ServerHandle> {
     let listener = TcpListener::bind(addr)?;
     let local = listener.local_addr()?;
     let resolved = resolve(cfg);
+    let cache = QueryCache::with_capacity(cfg.cache_capacity);
+    let metrics = MetricsRegistry::new();
+    let runner = RunnerOptions {
+        query_cache: Some(cache.clone()),
+        metrics: metrics.clone(),
+        ..cfg.runner_options()
+    };
     let shared = Arc::new(Shared {
         cfg: resolved,
         state: AtomicU8::new(RUNNING),
         root: CancelToken::new(),
         pool: WorkerPool::new(resolved.workers),
-        cache: QueryCache::with_capacity(cfg.cache_capacity),
-        metrics: MetricsRegistry::new(),
+        cache,
+        metrics,
+        runner,
         inflight: AtomicUsize::new(0),
         shutdown_req: AtomicU64::new(0),
         next_conn: AtomicU64::new(0),
@@ -649,29 +680,27 @@ fn run_job(
     };
     let rung_timeout =
         req.timeout_ms.map(Duration::from_millis).unwrap_or(shared.cfg.rung_timeout);
-    let opts = PortfolioOptions {
-        runner: RunnerOptions {
-            rung_timeout: Some(rung_timeout),
-            max_clause_bytes: shared.cfg.job_clause_bytes,
-            max_term_nodes: shared.cfg.job_term_nodes,
-            query_cache: Some(shared.cache.clone()),
-            metrics: shared.metrics.clone(),
-            ..RunnerOptions::default()
-        },
-        threads: None,
+    let opts = RunnerOptions {
+        rung_timeout: Some(rung_timeout),
+        cancel: token.clone(),
+        ..shared.runner.clone()
     };
-    // Hard job deadline: the racing ladder is three rungs wide under the
-    // default policy, so even fully serialized on a saturated pool the job
-    // should resolve within a few rung budgets; beyond that something is
-    // wedged and the job token trips.
+    // Hard job deadline: the ladder runs its rungs in series, and under
+    // the default policy three rungs at backoff 1.0 take at most three
+    // rung budgets — inside 4× + 5 s, which leaves room for queueing on a
+    // saturated pool. Beyond that something is wedged and the job token
+    // trips, which cancels the running rung.
     let hard_deadline = rung_timeout.saturating_mul(4) + Duration::from_secs(5);
     let _watchdog = Watchdog::arm(token.clone(), hard_deadline);
 
-    let task = VerifyTask::new(&req.id, src, tgt, cfg);
-    let report: ResilientReport =
-        verify_all_on(&shared.pool, std::slice::from_ref(&task), &opts, token)
-            .pop()
-            .expect("one task in, one report out");
+    // One pool job per request. If the ladder panics outside its rung
+    // boundaries the pool drops `tx`, and the `expect` below turns into
+    // this job's `error` answer at the job thread's boundary.
+    let (tx, rx) = mpsc::channel();
+    shared.pool.submit(Box::new(move || {
+        let _ = tx.send(run_resilient(&src, &tgt, &cfg, &opts));
+    }));
+    let report = rx.recv().expect("verification job panicked on the pool");
     shared.metrics.observe("serve.job_us", t0.elapsed());
 
     // Classify a cancelled job: an externally tripped token turned the

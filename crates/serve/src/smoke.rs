@@ -2,7 +2,7 @@
 //! wire (including one with an injected rung fault), and asserts
 //!
 //! 1. every wire verdict is byte-identical to the in-process
-//!    [`run_portfolio`] answer for the same pair (faults included —
+//!    [`run_resilient`] answer for the same pair (faults included —
 //!    failpoints are sticky, so both sides degrade identically);
 //! 2. `GET /metrics` answers with the live registry;
 //! 3. graceful shutdown completes cleanly within the drain deadline.
@@ -15,8 +15,7 @@ use crate::protocol::verify_corpus_request;
 use crate::server::{start, ServeConfig};
 use pug_ir::GpuConfig;
 use pug_smt::failpoints::{self, Fault};
-use pugpara::portfolio::{run_portfolio, PortfolioOptions};
-use pugpara::runner::RunnerOptions;
+use pugpara::runner::run_resilient;
 use pugpara::KernelUnit;
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
@@ -34,22 +33,18 @@ const PAIRS: &[(&str, &str, &str)] = &[
     ("smoke-faulted", "vector_add/kernel", "vector_add/kernel"),
 ];
 
-/// In-process baseline verdict for a corpus pair, using the same per-rung
-/// budget the daemon grants.
-fn baseline(src_name: &str, tgt_name: &str) -> String {
+/// In-process baseline verdict for a corpus pair, under the ladder policy
+/// the daemon's jobs run with.
+fn baseline(cfg: &ServeConfig, src_name: &str, tgt_name: &str) -> String {
     let (src, dims) = crate::corpus::lookup(src_name).expect("smoke corpus src");
     let (tgt, _) = crate::corpus::lookup(tgt_name).expect("smoke corpus tgt");
     let src = KernelUnit::load(src).expect("smoke src loads");
     let tgt = KernelUnit::load(tgt).expect("smoke tgt loads");
-    let cfg = match dims {
+    let gpu = match dims {
         crate::corpus::Dims::One => GpuConfig::symbolic_1d(8),
         crate::corpus::Dims::Two => GpuConfig::symbolic_2d(8),
     };
-    let opts = PortfolioOptions {
-        runner: RunnerOptions { rung_timeout: Some(RUNG_TIMEOUT), ..RunnerOptions::default() },
-        threads: None,
-    };
-    run_portfolio(&src, &tgt, &cfg, &opts).verdict.to_string()
+    run_resilient(&src, &tgt, &gpu, &cfg.runner_options()).verdict.to_string()
 }
 
 /// Keep injected-fault panics (which the runner catches by design) from
@@ -85,16 +80,16 @@ pub fn run_smoke() -> Result<(), String> {
     }
     let _disarm = Disarm;
 
-    let mut expected: HashMap<String, String> = HashMap::new();
-    for (id, src, tgt) in PAIRS {
-        expected.insert(id.to_string(), baseline(src, tgt));
-    }
-
     let cfg = ServeConfig {
         rung_timeout: RUNG_TIMEOUT,
         drain: DRAIN,
         ..ServeConfig::default()
     };
+    let mut expected: HashMap<String, String> = HashMap::new();
+    for (id, src, tgt) in PAIRS {
+        expected.insert(id.to_string(), baseline(&cfg, src, tgt));
+    }
+
     let server = start(&cfg, "127.0.0.1:0").map_err(|e| format!("bind failed: {e}"))?;
     let addr = server.addr();
 

@@ -10,8 +10,10 @@ use pug_serve::json::Json;
 use pug_serve::protocol::{verify_corpus_request, verify_inline_request};
 use pug_serve::server::{start, ServeConfig};
 use pug_serve::ServerHandle;
-use pugpara::portfolio::{run_portfolio, PortfolioOptions};
+use pugpara::runner::run_resilient;
 use pugpara::KernelUnit;
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 fn boot(cfg: &ServeConfig) -> ServerHandle {
@@ -58,11 +60,11 @@ fn in_process_verdict(src_name: &str, tgt_name: &str) -> String {
         pug_serve::corpus::Dims::One => GpuConfig::symbolic_1d(8),
         pug_serve::corpus::Dims::Two => GpuConfig::symbolic_2d(8),
     };
-    run_portfolio(
+    run_resilient(
         &KernelUnit::load(src).unwrap(),
         &KernelUnit::load(tgt).unwrap(),
         &cfg,
-        &PortfolioOptions::default(),
+        &ServeConfig::default().runner_options(),
     )
     .verdict
     .to_string()
@@ -147,6 +149,28 @@ fn bad_requests_answer_errors_not_disconnects() {
     }
     // The connection survived four protocol errors.
     let pong = client.request(&Json::obj(vec![("op", "ping".into())])).unwrap();
+    assert_eq!(pong.str_field("type"), Some("pong"));
+    assert!(server.shutdown().clean);
+}
+
+/// A request nested far deeper than any real one answers `error` instead
+/// of overflowing the connection thread's stack, which would abort the
+/// whole daemon; other clients keep being served.
+#[test]
+fn deeply_nested_request_answers_error_and_daemon_survives() {
+    let server = boot(&ServeConfig::default());
+    let mut deep = TcpStream::connect(server.addr()).unwrap();
+    deep.set_read_timeout(Some(Duration::from_secs(60))).unwrap();
+    let line = format!(r#"{{"op":"verify","id":"deep","src":{}}}"#, "[".repeat(10_000));
+    deep.write_all(line.as_bytes()).unwrap();
+    deep.write_all(b"\n").unwrap();
+    let mut answer = String::new();
+    BufReader::new(&deep).read_line(&mut answer).unwrap();
+    let resp = Json::parse(answer.trim_end()).unwrap();
+    assert_eq!(resp.str_field("type"), Some("error"), "got {answer}");
+
+    let mut other = connect(&server);
+    let pong = other.request(&Json::obj(vec![("op", "ping".into())])).unwrap();
     assert_eq!(pong.str_field("type"), Some("pong"));
     assert!(server.shutdown().clean);
 }

@@ -369,7 +369,7 @@ fn hash_sort(h: &mut Fnv128, s: Sort) {
 
 /// Context-independent structural hash of a term: variables hash by *name*
 /// (and sort), everything else by operator and child hashes, so the same
-/// formula built in two different [`Ctx`]s — e.g. by two portfolio rungs
+/// formula built in two different [`Ctx`]s — e.g. by two ladder rungs
 /// encoding the same kernel pair — gets the same hash.
 pub fn canonical_hash(ctx: &Ctx, t: TermId, memo: &mut HashMap<TermId, u128>) -> u128 {
     let mut stack = vec![t];

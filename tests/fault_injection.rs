@@ -1,17 +1,17 @@
 //! Fault-injection integration suite: the resilient runner must survive
-//! solver panics, injected budget exhaustion, and spurious Unknowns —
-//! descending the degradation ladder, carrying provenance, and never
-//! aborting or hanging past the watchdog.
+//! solver panics, injected budget exhaustion, spurious Unknowns and
+//! external cancellation — descending the degradation ladder, carrying
+//! provenance, and never aborting or hanging past the watchdog.
 //!
 //! Failpoints are process-global, so every test takes `FAULT_LOCK` and
 //! resets the registry on drop (even on assertion failure).
 
 use pugpara::failpoints::{self, Fault};
 use pugpara::runner::{run_resilient, Rung, RungOutcome, RunnerOptions};
-use pugpara::KernelUnit;
+use pugpara::{KernelUnit, Soundness, Verdict};
 use pug_ir::GpuConfig;
 use std::sync::{Mutex, MutexGuard};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 static FAULT_LOCK: Mutex<()> = Mutex::new(());
 
@@ -266,4 +266,111 @@ fn faulted_ladder_finishes_promptly() {
         "faulted ladder took {:?}",
         started.elapsed()
     );
+}
+
+/// Param panics while NonParam exhausts its budget: both faults are
+/// recorded on their own rungs and the last rung, FastBugHunt, still
+/// answers with the honest under-approximate downgrade.
+#[test]
+fn fastbughunt_answers_below_two_faulted_rungs() {
+    let _scope = FaultScope::armed(&[
+        ("runner::param", Fault::Panic),
+        ("runner::nonparam", Fault::BudgetExhausted),
+    ]);
+    let (naive, _) = transpose_pair();
+    let report =
+        run_resilient(&naive, &naive, &GpuConfig::symbolic_2d(8), &RunnerOptions::default());
+
+    assert!(
+        matches!(outcome_of(&report, Rung::Param), RungOutcome::Crashed(_)),
+        "{}",
+        report.provenance.render()
+    );
+    assert!(
+        matches!(outcome_of(&report, Rung::NonParam { n: 4 }), RungOutcome::Timeout),
+        "{}",
+        report.provenance.render()
+    );
+    assert_eq!(report.provenance.answered_by, Some(Rung::FastBugHunt));
+    assert!(matches!(report.verdict, Verdict::Verified(Soundness::UnderApprox)));
+}
+
+/// A parent token cancelled before the run starts stops every rung: the
+/// pair that otherwise proves on Param answers on no rung at all.
+#[test]
+fn cancelled_parent_stops_every_rung() {
+    let _scope = FaultScope::armed(&[]);
+    let (naive, _) = transpose_pair();
+    let opts = RunnerOptions::default();
+    opts.cancel.cancel();
+    let report = run_resilient(&naive, &naive, &GpuConfig::symbolic_2d(8), &opts);
+
+    assert!(matches!(report.verdict, Verdict::Timeout), "{}", report.provenance.render());
+    assert_eq!(report.provenance.answered_by, None);
+    assert!(
+        report.provenance.rungs.iter().all(|r| !matches!(r.outcome, RungOutcome::Answered)),
+        "{}",
+        report.provenance.render()
+    );
+}
+
+/// 32-bit multiplication distributivity: every rung of this pair runs far
+/// past a 200 ms budget, so each rung's watchdog trips.
+const MUL_DIST_SRC: &str = r#"
+__global__ void mulDist(int *d, int *a, int *b, int *c, int n) {
+    int i = blockIdx.x * blockDim.x + threadIdx.x;
+    if (i < n) {
+        d[i] = (a[i] + b[i]) * c[i];
+    }
+}
+"#;
+const MUL_DIST_TGT: &str = r#"
+__global__ void mulDist(int *d, int *a, int *b, int *c, int n) {
+    int i = blockIdx.x * blockDim.x + threadIdx.x;
+    if (i < n) {
+        d[i] = a[i] * c[i] + b[i] * c[i];
+    }
+}
+"#;
+
+/// A rung's watchdog trips that rung's own token, never the parent: after
+/// every rung timed out, the parent token is still live.
+#[test]
+fn rung_watchdog_never_cancels_the_parent() {
+    let _scope = FaultScope::armed(&[]);
+    let src = KernelUnit::load(MUL_DIST_SRC).unwrap();
+    let tgt = KernelUnit::load(MUL_DIST_TGT).unwrap();
+    let opts = RunnerOptions::with_rung_timeout(Duration::from_millis(200));
+    let report = run_resilient(&src, &tgt, &GpuConfig::symbolic_1d(32), &opts);
+
+    assert!(
+        matches!(outcome_of(&report, Rung::Param), RungOutcome::Timeout),
+        "{}",
+        report.provenance.render()
+    );
+    assert!(!opts.cancel.is_cancelled(), "a rung watchdog cancelled the parent token");
+}
+
+/// The aux passes run under children of the parent token too: with the
+/// parent cancelled, every pass finishes promptly. Live, the race pass on
+/// this pair reports a write-write race on `d` (32-bit index wrap); here
+/// it must report a timeout instead.
+#[test]
+fn cancelled_parent_stops_the_aux_passes() {
+    let _scope = FaultScope::armed(&[]);
+    let src = KernelUnit::load(MUL_DIST_SRC).unwrap();
+    let tgt = KernelUnit::load(MUL_DIST_TGT).unwrap();
+    let opts = RunnerOptions::with_rung_timeout(Duration::from_secs(60)).with_aux_passes();
+    opts.cancel.cancel();
+    let started = Instant::now();
+    let report = run_resilient(&src, &tgt, &GpuConfig::symbolic_1d(32), &opts);
+
+    assert_eq!(report.provenance.passes.len(), 3, "{}", report.provenance.render());
+    for p in &report.provenance.passes {
+        assert!(p.elapsed < Duration::from_secs(5), "{} took {:?}", p.pass, p.elapsed);
+    }
+    let race = &report.provenance.passes[0];
+    assert_eq!(race.pass, "race");
+    assert!(race.summary.contains("timeout"), "{}", report.provenance.render());
+    assert!(started.elapsed() < Duration::from_secs(10), "took {:?}", started.elapsed());
 }

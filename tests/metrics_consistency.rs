@@ -134,7 +134,6 @@ fn metrics_agree_with_trace_and_provenance_on_fuzzed_runs() {
             "runner.rung.crashed",
             "runner.rung.failed",
             "runner.rung.skipped",
-            "runner.rung.abandoned",
         ]
         .iter()
         .map(|k| snap.counter(k))
