@@ -27,11 +27,12 @@ run_suite "fault-injection smoke (sequential)" \
 # Perf smoke: runs multi-obligation equivalence rows through the
 # incremental and one-shot backends, exits non-zero if any verdict
 # diverges between the two, and gates each row's incremental wall time
-# against the committed baseline (>10% + 50 ms slack counts as a
-# regression; rows absent from the quick grid are reported, not gated). Also runs the rung-improvement grid and exits
-# non-zero unless at least one row's answering rung gets strictly
-# stronger with the generalized quantifier elimination on, verdicts
-# agreeing.
+# against the committed baseline, which it reads with the shared
+# `pug_obs::Json` codec (>10% + 50 ms slack counts as a regression; rows
+# absent from the quick grid are reported, not gated). Also runs the
+# rung-improvement grid and exits non-zero unless at least one row's
+# answering rung gets strictly stronger with the generalized quantifier
+# elimination on, verdicts agreeing.
 run_suite "perf smoke + regression gate" \
   cargo run --release -p pug-bench --bin repro-tables -- \
     --bench-json /tmp/bench_pr10_ci.json --quick --timeout 60 \
@@ -57,8 +58,9 @@ run_suite "normalize smoke" \
 run_suite "cache-effectiveness gate" \
   cargo test -q -p pug-bench --test cache_effectiveness
 # Observability smoke: one fully traced equivalence check; the JSONL export
-# is re-parsed and the span tree structurally validated (balanced opens and
-# closes, strictly increasing sequence). Non-zero exit on a broken trace.
+# is written and re-parsed through the shared `pug_obs::Json` codec and the
+# span tree structurally validated (balanced opens and closes, strictly
+# increasing sequence). Non-zero exit on a broken trace.
 run_suite "trace smoke" \
   cargo run --release -p pug-bench --bin repro-tables -- --trace /tmp/pug_trace_ci.jsonl
 # Service smoke: starts the pug-serve daemon on an ephemeral port at the

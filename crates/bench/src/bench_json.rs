@@ -29,10 +29,11 @@
 //! instead of a `NonParam(n=4)` fallback) while the verdict stayed
 //! identical. The caller gates on that count staying ≥ 1.
 
-use pugpara::equiv::{check_equivalence_param, CheckOptions, Mode, Report};
-use pugpara::runner::{run_resilient, Rung, RunnerOptions};
-use pugpara::{KernelUnit, QueryCache, Soundness, Verdict};
 use pug_ir::GpuConfig;
+use pug_obs::Json;
+use pugpara::equiv::{check_equivalence_param, CheckOptions, Mode, Report};
+use pugpara::runner::{run_resilient, ResilientReport, Rung, RunnerOptions};
+use pugpara::{KernelUnit, QueryCache, Soundness, Verdict};
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
@@ -282,34 +283,31 @@ fn run_mode(spec: &RowSpec, timeout: Duration, incremental: bool) -> ModeMetrics
     m
 }
 
-fn json_mode(out: &mut String, key: &str, m: &ModeMetrics) {
-    let _ = write!(
-        out,
-        "    \"{key}\": {{\"verdict\": \"{}\", \"wall_secs\": {:.3}, \
-         \"solver_secs\": {:.3}, \"reduce_secs\": {:.3}, \"blast_secs\": {:.3}, \
-         \"solve_secs\": {:.3}, \"queries\": {}, \"cached_queries\": {}, \
-         \"discharged_by_rewrite\": {}, \
-         \"conflicts\": {}, \"clauses_reused\": {}, \"cache_hits\": {}, \
-         \"cache_misses\": {}, \"vars_eliminated\": {}, \"clauses_subsumed\": {}, \
-         \"clauses_vivified\": {}, \"gates_hashconsed\": {}}}",
-        m.verdict,
-        m.wall.as_secs_f64(),
-        m.solver.as_secs_f64(),
-        m.reduce.as_secs_f64(),
-        m.blast.as_secs_f64(),
-        m.solve.as_secs_f64(),
-        m.queries,
-        m.cached_queries,
-        m.discharged_by_rewrite,
-        m.conflicts,
-        m.clauses_reused,
-        m.cache_hits,
-        m.cache_misses,
-        m.vars_eliminated,
-        m.clauses_subsumed,
-        m.clauses_vivified,
-        m.gates_hashconsed,
-    );
+/// `x` rounded to `decimals` places: the value `{x:.decimals$}` prints.
+fn rounded(x: f64, decimals: usize) -> Json {
+    Json::Num(format!("{x:.decimals$}").parse().expect("a formatted float parses"))
+}
+
+fn mode_json(m: &ModeMetrics) -> Json {
+    Json::obj(vec![
+        ("verdict", m.verdict.as_str().into()),
+        ("wall_secs", rounded(m.wall.as_secs_f64(), 3)),
+        ("solver_secs", rounded(m.solver.as_secs_f64(), 3)),
+        ("reduce_secs", rounded(m.reduce.as_secs_f64(), 3)),
+        ("blast_secs", rounded(m.blast.as_secs_f64(), 3)),
+        ("solve_secs", rounded(m.solve.as_secs_f64(), 3)),
+        ("queries", m.queries.into()),
+        ("cached_queries", m.cached_queries.into()),
+        ("discharged_by_rewrite", m.discharged_by_rewrite.into()),
+        ("conflicts", m.conflicts.into()),
+        ("clauses_reused", m.clauses_reused.into()),
+        ("cache_hits", m.cache_hits.into()),
+        ("cache_misses", m.cache_misses.into()),
+        ("vars_eliminated", m.vars_eliminated.into()),
+        ("clauses_subsumed", m.clauses_subsumed.into()),
+        ("clauses_vivified", m.clauses_vivified.into()),
+        ("gates_hashconsed", m.gates_hashconsed.into()),
+    ])
 }
 
 /// Result of the benchmark: the JSON document plus the headline numbers the
@@ -328,25 +326,18 @@ pub struct BenchJsonReport {
     pub row_walls: Vec<(String, f64)>,
 }
 
-/// Extract `(name, incremental wall_secs)` pairs from a bench JSON document
-/// (this crate's own hand-rolled format; no JSON dependency needed).
-fn parse_row_walls(json: &str) -> Vec<(String, f64)> {
-    let mut out = Vec::new();
-    for chunk in json.split("\"name\": \"").skip(1) {
-        let Some(name_end) = chunk.find('"') else { continue };
-        let name = &chunk[..name_end];
-        let Some(inc_at) = chunk.find("\"incremental\": {") else { continue };
-        let rest = &chunk[inc_at..];
-        let Some(wall_at) = rest.find("\"wall_secs\": ") else { continue };
-        let num = &rest[wall_at + "\"wall_secs\": ".len()..];
-        let end = num
-            .find(|c: char| c != '.' && !c.is_ascii_digit())
-            .unwrap_or(num.len());
-        if let Ok(v) = num[..end].parse::<f64>() {
-            out.push((name.to_string(), v));
-        }
-    }
-    out
+/// Extract `(name, incremental wall_secs)` pairs from the `rows` of a bench
+/// JSON document; rows without both are skipped.
+fn parse_row_walls(json: &str) -> Result<Vec<(String, f64)>, String> {
+    let doc = Json::parse(json)?;
+    let rows = doc.get("rows").and_then(Json::as_arr).unwrap_or_default();
+    Ok(rows
+        .iter()
+        .filter_map(|row| {
+            let wall = row.get("incremental")?.get("wall_secs")?.as_f64()?;
+            Some((row.str_field("name")?.to_string(), wall))
+        })
+        .collect())
 }
 
 /// Gate a fresh run against a committed baseline document. A row regresses
@@ -356,7 +347,7 @@ fn parse_row_walls(json: &str) -> Vec<(String, f64)> {
 /// quick grid drops the heavyweight row). Returns a per-row summary, or the
 /// list of regressions.
 pub fn baseline_gate(report: &BenchJsonReport, baseline_json: &str) -> Result<String, String> {
-    let old_rows = parse_row_walls(baseline_json);
+    let old_rows = parse_row_walls(baseline_json).map_err(|e| format!("baseline: {e}"))?;
     if old_rows.is_empty() {
         return Err("baseline has no parsable rows".into());
     }
@@ -399,16 +390,12 @@ pub fn baseline_gate(report: &BenchJsonReport, baseline_json: &str) -> Result<St
 /// Run the incremental-vs-one-shot grid and render it as JSON.
 pub fn bench_json_report(timeout: Duration, quick: bool) -> BenchJsonReport {
     let specs = rows(quick);
-    let mut json = String::from("{\n  \"bench\": \"pr10-generalized-qelim\",\n");
-    let _ = writeln!(json, "  \"timeout_secs\": {},", timeout.as_secs());
-    let _ = writeln!(json, "  \"quick\": {quick},");
-    json.push_str("  \"rows\": [\n");
-
     let mut agree = 0usize;
     let mut inc_wall = Duration::ZERO;
     let mut one_wall = Duration::ZERO;
     let mut row_walls = Vec::new();
-    for (i, spec) in specs.iter().enumerate() {
+    let mut rows_json = Vec::new();
+    for spec in &specs {
         eprintln!("bench-json: {} (incremental)", spec.name);
         let inc = run_mode(spec, timeout, true);
         eprintln!("bench-json: {} (one-shot)", spec.name);
@@ -421,28 +408,22 @@ pub fn bench_json_report(timeout: Duration, quick: bool) -> BenchJsonReport {
         inc_wall += inc.wall;
         one_wall += one.wall;
         let speedup = one.wall.as_secs_f64() / inc.wall.as_secs_f64().max(1e-9);
-
-        json.push_str("  {\n");
-        let _ = writeln!(json, "    \"name\": \"{}\",", spec.name);
-        let _ = writeln!(json, "    \"agree\": {rows_agree},");
-        let _ = writeln!(json, "    \"speedup\": {speedup:.2},");
-        json_mode(&mut json, "incremental", &inc);
-        json.push_str(",\n");
-        json_mode(&mut json, "one_shot", &one);
-        json.push('\n');
-        json.push_str(if i + 1 == specs.len() { "  }\n" } else { "  },\n" });
+        rows_json.push(Json::obj(vec![
+            ("name", spec.name.into()),
+            ("agree", rows_agree.into()),
+            ("speedup", rounded(speedup, 2)),
+            ("incremental", mode_json(&inc)),
+            ("one_shot", mode_json(&one)),
+        ]));
     }
-
-    json.push_str("  ],\n");
 
     // Rung-improvement grid: the answering rung with the generalized
     // elimination on vs off. Verdict classes must agree on every row; the
     // headline counts the rows where agreement holds *and* the answering
     // rung got strictly stronger.
-    json.push_str("  \"rung_rows\": [\n");
-    let rung_specs = rung_rows();
     let mut rung_improved = 0usize;
-    for (i, spec) in rung_specs.iter().enumerate() {
+    let mut rung_rows_json = Vec::new();
+    for spec in rung_rows() {
         eprintln!("bench-json: {} (qelim on/off)", spec.name);
         let src = load(spec.src);
         let tgt = load(spec.tgt);
@@ -469,38 +450,40 @@ pub fn bench_json_report(timeout: Duration, quick: bool) -> BenchJsonReport {
         if improved {
             rung_improved += 1;
         }
-        let rung_str = |r: Option<&Rung>| match r {
-            Some(r) => r.to_string(),
-            None => "none".into(),
+        let run_json = |report: &ResilientReport, wall: Duration| {
+            let rung = match &report.provenance.answered_by {
+                Some(r) => r.to_string(),
+                None => "none".into(),
+            };
+            Json::obj(vec![
+                ("rung", rung.into()),
+                ("verdict", verdict_class(Some(&report.verdict)).into()),
+                ("wall_secs", rounded(wall.as_secs_f64(), 3)),
+            ])
         };
-        json.push_str("  {\n");
-        let _ = writeln!(json, "    \"name\": \"{}\",", spec.name);
-        let _ = writeln!(json, "    \"agree\": {agree},");
-        let _ = writeln!(json, "    \"improved\": {improved},");
-        let _ = writeln!(
-            json,
-            "    \"qelim_on\": {{\"rung\": \"{}\", \"verdict\": \"{}\", \"wall_secs\": {:.3}}},",
-            rung_str(on.provenance.answered_by.as_ref()),
-            verdict_class(Some(&on.verdict)),
-            on_wall.as_secs_f64(),
-        );
-        let _ = writeln!(
-            json,
-            "    \"qelim_off\": {{\"rung\": \"{}\", \"verdict\": \"{}\", \"wall_secs\": {:.3}}}",
-            rung_str(off.provenance.answered_by.as_ref()),
-            verdict_class(Some(&off.verdict)),
-            off_wall.as_secs_f64(),
-        );
-        json.push_str(if i + 1 == rung_specs.len() { "  }\n" } else { "  },\n" });
+        rung_rows_json.push(Json::obj(vec![
+            ("name", spec.name.into()),
+            ("agree", agree.into()),
+            ("improved", improved.into()),
+            ("qelim_on", run_json(&on, on_wall)),
+            ("qelim_off", run_json(&off, off_wall)),
+        ]));
     }
 
     let aggregate = one_wall.as_secs_f64() / inc_wall.as_secs_f64().max(1e-9);
-    json.push_str("  ],\n");
-    let _ = writeln!(json, "  \"rows_total\": {},", specs.len());
-    let _ = writeln!(json, "  \"rows_agreeing\": {agree},");
-    let _ = writeln!(json, "  \"rows_rung_improved\": {rung_improved},");
-    let _ = writeln!(json, "  \"aggregate_speedup\": {aggregate:.2}");
-    json.push_str("}\n");
+    let doc = Json::obj(vec![
+        ("bench", "pr10-generalized-qelim".into()),
+        ("timeout_secs", timeout.as_secs().into()),
+        ("quick", quick.into()),
+        ("rows", Json::Arr(rows_json)),
+        ("rung_rows", Json::Arr(rung_rows_json)),
+        ("rows_total", specs.len().into()),
+        ("rows_agreeing", agree.into()),
+        ("rows_rung_improved", rung_improved.into()),
+        ("aggregate_speedup", rounded(aggregate, 2)),
+    ]);
+    let mut json = doc.render();
+    json.push('\n');
 
     BenchJsonReport {
         json,
@@ -523,18 +506,33 @@ mod tests {
         // The elimination must buy at least one strictly stronger answering
         // rung (the grid-stride row) with the verdict preserved.
         assert!(r.rows_rung_improved >= 1, "{}", r.json);
-        // Sanity on the hand-rolled JSON: balanced braces/brackets, no NaN.
-        assert_eq!(r.json.matches('{').count(), r.json.matches('}').count());
-        assert_eq!(r.json.matches('[').count(), r.json.matches(']').count());
-        assert!(!r.json.contains("NaN"));
+        Json::parse(&r.json).expect("the document is JSON");
         // The document round-trips through the baseline parser, so a fresh
         // run can always be gated against this file once committed.
-        let walls = parse_row_walls(&r.json);
+        let walls = parse_row_walls(&r.json).unwrap();
         assert_eq!(walls.len(), r.row_walls.len());
         for ((n1, w1), (n2, w2)) in walls.iter().zip(r.row_walls.iter()) {
             assert_eq!(n1, n2);
             assert!((w1 - w2).abs() < 0.001, "{n1}: {w1} vs {w2}");
         }
+    }
+
+    #[test]
+    fn committed_baselines_parse() {
+        let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+        let mut files = 0;
+        for entry in std::fs::read_dir(root).unwrap() {
+            let path = entry.unwrap().path();
+            let name = path.file_name().unwrap().to_string_lossy().into_owned();
+            if !(name.starts_with("BENCH_pr") && name.ends_with(".json")) {
+                continue;
+            }
+            let text = std::fs::read_to_string(&path).unwrap();
+            let walls = parse_row_walls(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
+            assert!(!walls.is_empty(), "{name} yields no rows");
+            files += 1;
+        }
+        assert!(files >= 5, "found only {files} committed baselines");
     }
 
     #[test]

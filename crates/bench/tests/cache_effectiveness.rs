@@ -13,11 +13,10 @@
 //! * the aggregate hit *rate* over the common rows strictly improves;
 //! * at least one obligation is discharged by rewriting alone.
 
+use pug_obs::Json;
 use std::time::Duration;
 
-/// Per-row incremental cache metrics parsed out of a bench JSON document
-/// (the crate's hand-rolled format; same text-scan approach as the
-/// baseline wall-clock gate).
+/// Per-row incremental cache metrics of a bench JSON document.
 #[derive(Debug, PartialEq)]
 struct RowCache {
     name: String,
@@ -26,32 +25,22 @@ struct RowCache {
     discharged: u64,
 }
 
-fn field(block: &str, key: &str) -> Option<u64> {
-    let tag = format!("\"{key}\": ");
-    let at = block.find(&tag)?;
-    let num = &block[at + tag.len()..];
-    let end = num.find(|c: char| !c.is_ascii_digit()).unwrap_or(num.len());
-    num[..end].parse().ok()
-}
-
 fn parse_row_caches(json: &str) -> Vec<RowCache> {
-    let mut out = Vec::new();
-    for chunk in json.split("\"name\": \"").skip(1) {
-        let Some(name_end) = chunk.find('"') else { continue };
-        let name = chunk[..name_end].to_string();
-        let Some(inc_at) = chunk.find("\"incremental\": {") else { continue };
-        let block_end = chunk[inc_at..].find('}').map(|e| inc_at + e).unwrap_or(chunk.len());
-        let block = &chunk[inc_at..block_end];
-        let (Some(hits), Some(misses)) =
-            (field(block, "cache_hits"), field(block, "cache_misses"))
-        else {
-            continue;
-        };
-        // Absent in pre-PR8 documents: those rows could not discharge.
-        let discharged = field(block, "discharged_by_rewrite").unwrap_or(0);
-        out.push(RowCache { name, hits, misses, discharged });
-    }
-    out
+    let doc = Json::parse(json).expect("bench document is JSON");
+    let rows = doc.get("rows").and_then(Json::as_arr).unwrap_or_default();
+    rows.iter()
+        .filter_map(|row| {
+            let inc = row.get("incremental")?;
+            Some(RowCache {
+                name: row.str_field("name")?.to_string(),
+                hits: inc.u64_field("cache_hits")?,
+                misses: inc.u64_field("cache_misses")?,
+                // Absent from `BENCH_pr7.json` and older: those rows could
+                // not discharge.
+                discharged: inc.u64_field("discharged_by_rewrite").unwrap_or(0),
+            })
+        })
+        .collect()
 }
 
 #[test]

@@ -67,10 +67,7 @@ pub mod runner;
 pub mod spec;
 pub mod verdict;
 
-pub use cache::{
-    QueryCache, QueryCacheStats, ShardStats, DEFAULT_QUERY_CACHE_CAPACITY,
-    DEFAULT_QUERY_CACHE_SHARDS,
-};
+pub use cache::{QueryCache, QueryCacheStats, DEFAULT_QUERY_CACHE_CAPACITY};
 pub use equiv::{
     check_equivalence_nonparam, check_equivalence_param, CheckOptions, Mode, QueryStat, Report,
 };

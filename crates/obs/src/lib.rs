@@ -15,14 +15,19 @@
 //!   chains, ∀-elimination vs. drop decisions).
 //! - [`parse_jsonl`] / [`validate`]: round-trip and structural checks for
 //!   trace dumps, used by the CI trace smoke and the property tests.
+//! - [`Json`]: the workspace's one JSON codec. It renders and parses the
+//!   trace JSONL, the `pug-serve` wire protocol and the `--bench-json`
+//!   document.
 //!
 //! The crate deliberately knows nothing about kernels or verdicts; the
 //! `explain` narrative renderer lives in `pugpara`, next to the
 //! `ResilientReport` it narrates.
 
+pub mod json;
 pub mod metrics;
 pub mod trace;
 
+pub use json::Json;
 pub use metrics::{Histogram, MetricsRegistry, MetricsSnapshot, HIST_BUCKETS};
 pub use trace::{
     parse_jsonl, validate, AttrValue, Attrs, EventKind, SpanGuard, SpanId, TraceEvent, TraceSink,

@@ -16,10 +16,12 @@
 //! keeps traces balanced even when a panic unwinds through an instrumented
 //! region into a `catch_unwind` fault boundary.
 //!
-//! Export is JSONL (one event per line); [`parse_jsonl`] and [`validate`]
-//! round-trip and structurally check a dump so the CI trace smoke and the
-//! property tests can assert well-formedness without external tooling.
+//! Export is JSONL (one event per line), rendered and parsed by the shared
+//! [`Json`] codec; [`parse_jsonl`] and [`validate`] round-trip and
+//! structurally check a dump so the CI trace smoke and the property tests
+//! can assert well-formedness without external tooling.
 
+use crate::json::Json;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -263,7 +265,7 @@ impl TraceSink {
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
         for ev in self.events() {
-            render_event(&mut out, &ev);
+            event_json(ev).write(&mut out);
             out.push('\n');
         }
         out
@@ -381,200 +383,50 @@ impl Drop for SpanGuard {
     }
 }
 
-fn escape_json(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
+/// One event as a JSON object, keys in the order
+/// `seq, kind, span, parent, name, t_us, attrs`.
+fn event_json(ev: TraceEvent) -> Json {
+    let attrs = ev.attrs.into_iter().map(|(k, v)| (k, Json::from(v))).collect();
+    Json::obj(vec![
+        ("seq", ev.seq.into()),
+        ("kind", ev.kind.as_str().into()),
+        ("span", ev.span.0.into()),
+        ("parent", ev.parent.0.into()),
+        ("name", ev.name.into()),
+        ("t_us", ev.t_us.into()),
+        ("attrs", Json::Obj(attrs)),
+    ])
 }
 
-fn render_event(out: &mut String, ev: &TraceEvent) {
-    use std::fmt::Write as _;
-    let _ = write!(
-        out,
-        "{{\"seq\":{},\"kind\":\"{}\",\"span\":{},\"parent\":{},\"name\":\"",
-        ev.seq,
-        ev.kind.as_str(),
-        ev.span.0,
-        ev.parent.0
-    );
-    escape_json(out, &ev.name);
-    let _ = write!(out, "\",\"t_us\":{},\"attrs\":{{", ev.t_us);
-    for (i, (k, v)) in ev.attrs.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push('"');
-        escape_json(out, k);
-        out.push_str("\":");
+impl From<AttrValue> for Json {
+    fn from(v: AttrValue) -> Json {
         match v {
-            AttrValue::Str(s) => {
-                out.push('"');
-                escape_json(out, s);
-                out.push('"');
-            }
-            AttrValue::Int(n) => {
-                let _ = write!(out, "{n}");
-            }
-            AttrValue::UInt(n) => {
-                let _ = write!(out, "{n}");
-            }
-            AttrValue::Bool(b) => {
-                let _ = write!(out, "{b}");
-            }
+            AttrValue::Str(s) => s.into(),
+            AttrValue::Int(n) => n.into(),
+            AttrValue::UInt(n) => n.into(),
+            AttrValue::Bool(b) => b.into(),
         }
     }
-    out.push_str("}}");
 }
 
 // ---------------------------------------------------------------------------
 // JSONL parsing + structural validation (for the CI smoke and tests).
 // ---------------------------------------------------------------------------
 
-/// Minimal single-line JSON object reader for the event schema above.
-struct Cursor<'a> {
-    s: &'a [u8],
-    i: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn new(s: &'a str) -> Self {
-        Cursor { s: s.as_bytes(), i: 0 }
-    }
-
-    fn skip_ws(&mut self) {
-        while self.i < self.s.len() && (self.s[self.i] as char).is_ascii_whitespace() {
-            self.i += 1;
-        }
-    }
-
-    fn eat(&mut self, c: u8) -> Result<(), String> {
-        self.skip_ws();
-        if self.i < self.s.len() && self.s[self.i] == c {
-            self.i += 1;
-            Ok(())
-        } else {
-            Err(format!("expected '{}' at byte {}", c as char, self.i))
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.s.get(self.i).copied()
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.eat(b'"')?;
-        let mut out = String::new();
-        loop {
-            let Some(&b) = self.s.get(self.i) else {
-                return Err("unterminated string".into());
-            };
-            self.i += 1;
-            match b {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let Some(&e) = self.s.get(self.i) else {
-                        return Err("dangling escape".into());
-                    };
-                    self.i += 1;
-                    match e {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'n' => out.push('\n'),
-                        b't' => out.push('\t'),
-                        b'r' => out.push('\r'),
-                        b'u' => {
-                            let hex = self
-                                .s
-                                .get(self.i..self.i + 4)
-                                .ok_or("short \\u escape")?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?,
-                                16,
-                            )
-                            .map_err(|_| "bad \\u escape")?;
-                            self.i += 4;
-                            out.push(char::from_u32(code).ok_or("bad \\u codepoint")?);
-                        }
-                        _ => return Err(format!("unknown escape '\\{}'", e as char)),
-                    }
-                }
-                _ => {
-                    // Re-borrow multi-byte UTF-8 sequences whole.
-                    let start = self.i - 1;
-                    let len = utf8_len(b);
-                    let end = start + len;
-                    let chunk = self.s.get(start..end).ok_or("truncated UTF-8")?;
-                    out.push_str(std::str::from_utf8(chunk).map_err(|_| "invalid UTF-8")?);
-                    self.i = end;
-                }
-            }
-        }
-    }
-
-    fn value(&mut self) -> Result<AttrValue, String> {
-        match self.peek() {
-            Some(b'"') => Ok(AttrValue::Str(self.string()?)),
-            Some(b't') => {
-                self.expect_word("true")?;
-                Ok(AttrValue::Bool(true))
-            }
-            Some(b'f') => {
-                self.expect_word("false")?;
-                Ok(AttrValue::Bool(false))
-            }
-            Some(c) if c == b'-' || c.is_ascii_digit() => {
-                let start = self.i;
-                if c == b'-' {
-                    self.i += 1;
-                }
-                while self.i < self.s.len() && self.s[self.i].is_ascii_digit() {
-                    self.i += 1;
-                }
-                let txt = std::str::from_utf8(&self.s[start..self.i]).unwrap();
-                if txt.starts_with('-') {
-                    txt.parse::<i64>().map(AttrValue::Int).map_err(|e| e.to_string())
-                } else {
-                    txt.parse::<u64>().map(AttrValue::UInt).map_err(|e| e.to_string())
-                }
-            }
-            other => Err(format!("unexpected value start {other:?}")),
-        }
-    }
-
-    fn expect_word(&mut self, w: &str) -> Result<(), String> {
-        self.skip_ws();
-        if self.s[self.i..].starts_with(w.as_bytes()) {
-            self.i += w.len();
-            Ok(())
-        } else {
-            Err(format!("expected '{w}'"))
-        }
-    }
-}
-
-fn utf8_len(first: u8) -> usize {
-    match first {
-        0x00..=0x7f => 1,
-        0xc0..=0xdf => 2,
-        0xe0..=0xef => 3,
-        _ => 4,
+fn attr_value(v: Json) -> Option<AttrValue> {
+    match v {
+        Json::Str(s) => Some(AttrValue::Str(s)),
+        Json::Bool(b) => Some(AttrValue::Bool(b)),
+        Json::Int(n) if n < 0 => i64::try_from(n).ok().map(AttrValue::Int),
+        Json::Int(n) => u64::try_from(n).ok().map(AttrValue::UInt),
+        _ => None,
     }
 }
 
 fn parse_line(line: &str) -> Result<TraceEvent, String> {
-    let mut c = Cursor::new(line);
-    c.eat(b'{')?;
+    let Json::Obj(fields) = Json::parse(line)? else {
+        return Err("expected a JSON object".into());
+    };
     let mut ev = TraceEvent {
         seq: 0,
         kind: EventKind::Point,
@@ -585,12 +437,10 @@ fn parse_line(line: &str) -> Result<TraceEvent, String> {
         attrs: Vec::new(),
     };
     let mut seen_kind = false;
-    loop {
-        let key = c.string()?;
-        c.eat(b':')?;
-        match key.as_str() {
-            "seq" | "span" | "parent" | "t_us" => {
-                let AttrValue::UInt(n) = c.value()? else {
+    for (key, value) in fields {
+        match (key.as_str(), value) {
+            ("seq" | "span" | "parent" | "t_us", value) => {
+                let Some(AttrValue::UInt(n)) = attr_value(value) else {
                     return Err(format!("field '{key}' must be a non-negative integer"));
                 };
                 match key.as_str() {
@@ -600,10 +450,7 @@ fn parse_line(line: &str) -> Result<TraceEvent, String> {
                     _ => ev.t_us = n,
                 }
             }
-            "kind" => {
-                let AttrValue::Str(s) = c.value()? else {
-                    return Err("field 'kind' must be a string".into());
-                };
+            ("kind", Json::Str(s)) => {
                 ev.kind = match s.as_str() {
                     "open" => EventKind::Open,
                     "close" => EventKind::Close,
@@ -612,47 +459,19 @@ fn parse_line(line: &str) -> Result<TraceEvent, String> {
                 };
                 seen_kind = true;
             }
-            "name" => {
-                let AttrValue::Str(s) = c.value()? else {
-                    return Err("field 'name' must be a string".into());
-                };
-                ev.name = s;
-            }
-            "attrs" => {
-                c.eat(b'{')?;
-                if c.peek() == Some(b'}') {
-                    c.eat(b'}')?;
-                } else {
-                    loop {
-                        let k = c.string()?;
-                        c.eat(b':')?;
-                        let v = c.value()?;
-                        ev.attrs.push((k, v));
-                        match c.peek() {
-                            Some(b',') => c.eat(b',')?,
-                            Some(b'}') => {
-                                c.eat(b'}')?;
-                                break;
-                            }
-                            other => return Err(format!("bad attrs separator {other:?}")),
-                        }
-                    }
+            ("name", Json::Str(s)) => ev.name = s,
+            ("attrs", Json::Obj(attrs)) => {
+                for (k, v) in attrs {
+                    let v = attr_value(v).ok_or_else(|| {
+                        format!("attr '{k}' must be a string, a bool or an integer")
+                    })?;
+                    ev.attrs.push((k, v));
                 }
             }
-            other => return Err(format!("unknown field '{other}'")),
+            ("kind" | "name", _) => return Err(format!("field '{key}' must be a string")),
+            ("attrs", _) => return Err("field 'attrs' must be an object".into()),
+            (other, _) => return Err(format!("unknown field '{other}'")),
         }
-        match c.peek() {
-            Some(b',') => c.eat(b',')?,
-            Some(b'}') => {
-                c.eat(b'}')?;
-                break;
-            }
-            other => return Err(format!("bad object separator {other:?}")),
-        }
-    }
-    c.skip_ws();
-    if c.i != c.s.len() {
-        return Err("trailing garbage after object".into());
     }
     if !seen_kind {
         return Err("missing 'kind' field".into());
@@ -859,5 +678,50 @@ mod tests {
         let summary = validate(&sink.events()).expect("ordered and balanced");
         assert_eq!(summary.spans, 1 + 4 * 50);
         assert_eq!(summary.points, 200);
+    }
+
+    #[test]
+    fn jsonl_line_format_is_pinned() {
+        let ev = TraceEvent {
+            seq: 7,
+            kind: EventKind::Open,
+            span: SpanId(3),
+            parent: SpanId(1),
+            name: "q:\"a\\b\"\n\t\r\u{1}\u{1f} é🚀".into(),
+            t_us: 1234,
+            attrs: vec![
+                ("s".into(), AttrValue::Str("x\"y".into())),
+                ("umax".into(), AttrValue::UInt(u64::MAX)),
+                ("imin".into(), AttrValue::Int(i64::MIN)),
+                ("yes".into(), AttrValue::Bool(true)),
+                ("no".into(), AttrValue::Bool(false)),
+            ],
+        };
+        let sink = TraceSink::recording();
+        sink.inner.as_ref().unwrap().state.lock().unwrap().events.push(ev.clone());
+        let text = sink.to_jsonl();
+        let line = r#"{"seq":7,"kind":"open","span":3,"parent":1,"name":"q:\"a\\b\"\n\t\r\u0001\u001f é🚀","t_us":1234,"attrs":{"s":"x\"y","umax":18446744073709551615,"imin":-9223372036854775808,"yes":true,"no":false}}"#;
+        assert_eq!(text, format!("{line}\n"));
+        let back = parse_jsonl(&text).expect("parses");
+        assert_eq!(format!("{back:?}"), format!("{:?}", vec![ev]));
+    }
+
+    #[test]
+    fn parse_jsonl_rejects_off_schema_lines() {
+        let ok = r#"{"seq":0,"kind":"point","span":0,"parent":0,"name":"p","t_us":0,"attrs":{}}"#;
+        parse_jsonl(ok).expect("a well-formed line parses");
+        for bad in [
+            r#"{"seq":0,"kind":"point","extra":1}"#,
+            r#"{"seq":0,"name":"p"}"#,
+            r#"{"seq":-1,"kind":"point"}"#,
+            r#"{"seq":1.5,"kind":"point"}"#,
+            r#"{"seq":18446744073709551616,"kind":"point"}"#,
+            r#"{"kind":"point","attrs":{"x":1.5}}"#,
+            r#"{"kind":"point","attrs":{"x":null}}"#,
+            r#"{"kind":"point","attrs":{"x":[1]}}"#,
+            r#"{"kind":"point","attrs":{"x":-9223372036854775809}}"#,
+        ] {
+            assert!(parse_jsonl(bad).is_err(), "accepted {bad}");
+        }
     }
 }

@@ -25,8 +25,8 @@
 //! ```
 
 use pug_ir::GpuConfig;
+use pug_obs::Json;
 use pug_serve::client::{http_metrics, Client};
-use pug_serve::json::Json;
 use pug_serve::protocol::{verify_corpus_request, verify_inline_request};
 use pug_serve::server::{start, ServeConfig};
 use pug_smt::failpoints::{self, Fault};

@@ -3,8 +3,8 @@
 //! many jobs; [`Client::recv`] returns responses in arrival order (which
 //! may differ from submission order — match on the echoed `id`).
 
-use crate::json::Json;
 use crate::wire::LineReader;
+use pug_obs::Json;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;

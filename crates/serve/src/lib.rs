@@ -6,8 +6,8 @@
 //! one shared worker pool, which runs each job's degradation ladder as one
 //! pool job, one process-wide bounded [`pugpara::QueryCache`] and one
 //! `pug-obs` [`pug_obs::MetricsRegistry`]; jobs arrive as line-delimited
-//! JSON over TCP (hand-rolled — the build is offline, so no
-//! serde/tokio/hyper).
+//! JSON over TCP, in the shared [`pug_obs::Json`] codec (the build is
+//! offline, so no serde/tokio/hyper).
 //!
 //! The four properties the daemon guarantees (see [`server`] for the
 //! mechanics, and `DESIGN.md` §6 for the rationale):
@@ -30,7 +30,6 @@
 
 pub mod client;
 pub mod corpus;
-pub mod json;
 mod pool;
 pub mod protocol;
 pub mod server;

@@ -34,7 +34,7 @@
 //! listener with the text rendering of the `pug-obs` registry, for humans
 //! and scrapers.
 
-use crate::json::Json;
+use pug_obs::Json;
 use pugpara::runner::{Provenance, ResilientReport};
 
 /// Parsed `verify` request.

@@ -33,7 +33,6 @@
 //! latency) instead of queueing unboundedly.
 
 use crate::corpus::{self, Dims};
-use crate::json::Json;
 use crate::pool::WorkerPool;
 use crate::protocol::{
     aborted_response, error_response, overloaded_response, parse_request, shutting_down_response,
@@ -41,7 +40,7 @@ use crate::protocol::{
 };
 use crate::wire::{write_line, write_raw, LineReader, SharedWriter};
 use pug_ir::GpuConfig;
-use pug_obs::MetricsRegistry;
+use pug_obs::{Json, MetricsRegistry};
 use pug_smt::{CancelToken, ResourceBudget};
 use pugpara::explain::{explain_with, ExplainOptions};
 use pugpara::runner::{panic_message, run_resilient, RunnerOptions, Watchdog};
@@ -534,7 +533,8 @@ fn dispatch(shared: &Arc<Shared>, conn: &Arc<ConnState>, writer: &SharedWriter, 
         Ok(Request::Shutdown { drain_ms }) => {
             // Record the request; the handle owner (the daemon main loop)
             // performs the actual drain so shutdown has a single owner.
-            let encoded = drain_ms.unwrap_or(shared.cfg.drain.as_millis() as u64) + 1;
+            let encoded =
+                drain_ms.unwrap_or(shared.cfg.drain.as_millis() as u64).saturating_add(1);
             shared.shutdown_req.store(encoded, Ordering::Release);
             let _ = write_line(writer, &Json::obj(vec![("type", "shutdown_ack".into())]));
         }

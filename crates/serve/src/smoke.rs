@@ -10,10 +10,10 @@
 //! Run via `pug-serve --smoke`; wired into `ci.sh`.
 
 use crate::client::{http_metrics, Client};
-use crate::json::Json;
 use crate::protocol::verify_corpus_request;
 use crate::server::{start, ServeConfig};
 use pug_ir::GpuConfig;
+use pug_obs::Json;
 use pug_smt::failpoints::{self, Fault};
 use pugpara::runner::run_resilient;
 use pugpara::KernelUnit;

@@ -3,7 +3,7 @@
 //! partial data, and a mutex-guarded line writer usable from many job
 //! threads at once.
 
-use crate::json::Json;
+use pug_obs::Json;
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
 use std::sync::{Arc, Mutex, PoisonError};
@@ -24,19 +24,22 @@ pub(crate) struct LineReader {
     buf: Vec<u8>,
     /// Start of un-consumed bytes in `buf`.
     start: usize,
+    /// `buf[start..scanned]` holds no `\n`, so a search resumes here and
+    /// each received byte is scanned once.
+    scanned: usize,
 }
 
 impl LineReader {
     pub fn new(stream: TcpStream) -> LineReader {
-        LineReader { stream, buf: Vec::with_capacity(4096), start: 0 }
+        LineReader { stream, buf: Vec::with_capacity(4096), start: 0, scanned: 0 }
     }
 
     /// Next complete line (without the terminator); `Ok(None)` on clean
     /// EOF. Timeout errors are safe to retry.
     pub fn next_line(&mut self) -> io::Result<Option<String>> {
         loop {
-            if let Some(nl) = self.buf[self.start..].iter().position(|&b| b == b'\n') {
-                let end = self.start + nl;
+            if let Some(nl) = self.buf[self.scanned..].iter().position(|&b| b == b'\n') {
+                let end = self.scanned + nl;
                 let mut line = &self.buf[self.start..end];
                 if line.last() == Some(&b'\r') {
                     line = &line[..line.len() - 1];
@@ -47,12 +50,14 @@ impl LineReader {
                     self.buf.clear();
                     self.start = 0;
                 }
+                self.scanned = self.start;
                 return Ok(Some(text));
             }
             if self.start > 0 {
                 self.buf.drain(..self.start);
                 self.start = 0;
             }
+            self.scanned = self.buf.len();
             if self.buf.len() > MAX_LINE_BYTES {
                 return Err(io::Error::new(
                     io::ErrorKind::InvalidData,

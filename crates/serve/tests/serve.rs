@@ -5,8 +5,8 @@
 //! these tests run concurrently.)
 
 use pug_ir::GpuConfig;
+use pug_obs::Json;
 use pug_serve::client::{http_metrics, Client};
-use pug_serve::json::Json;
 use pug_serve::protocol::{verify_corpus_request, verify_inline_request};
 use pug_serve::server::{start, ServeConfig};
 use pug_serve::ServerHandle;
@@ -143,11 +143,14 @@ fn bad_requests_answer_errors_not_disconnects() {
         "not json at all".to_string(),
         r#"{"op":"verify","src_kernel":"vector_add/kernel","tgt_kernel":"vector_add/kernel"}"#
             .to_string(), // missing id
+        // 2^64 reads as u64::MAX, not as absent, and is no valid `dims`.
+        r#"{"op":"verify","id":"big","src_kernel":"vector_add/kernel","tgt_kernel":"vector_add/kernel","dims":18446744073709551616}"#
+            .to_string(),
     ] {
         let resp = client.request(&Json::parse(&bad).unwrap_or(Json::Str(bad))).unwrap();
         assert_eq!(resp.str_field("type"), Some("error"), "got {}", resp.render());
     }
-    // The connection survived four protocol errors.
+    // The connection survived five errors.
     let pong = client.request(&Json::obj(vec![("op", "ping".into())])).unwrap();
     assert_eq!(pong.str_field("type"), Some("pong"));
     assert!(server.shutdown().clean);
@@ -172,6 +175,57 @@ fn deeply_nested_request_answers_error_and_daemon_survives() {
     let mut other = connect(&server);
     let pong = other.request(&Json::obj(vec![("op", "ping".into())])).unwrap();
     assert_eq!(pong.str_field("type"), Some("pong"));
+    assert!(server.shutdown().clean);
+}
+
+/// Reading and parsing a line costs time linear in its length: a `verify`
+/// line carrying a 1 MiB `src` string and a whitespace-only line just under
+/// the 16 MiB line limit each get their `error` within 10 s, and the daemon
+/// keeps serving other connections.
+#[test]
+fn long_lines_answer_errors_promptly_and_daemon_survives() {
+    let server = boot(&ServeConfig::default());
+    let long_src = Json::obj(vec![
+        ("op", "verify".into()),
+        ("id", "long".into()),
+        ("src", "x".repeat(1 << 20).into()),
+        ("tgt", "__global__ void k(){}".into()),
+    ])
+    .render();
+    let blank = " ".repeat((16 << 20) - 16);
+    for line in [long_src, blank] {
+        let budget = Duration::from_secs(10);
+        let mut conn = TcpStream::connect(server.addr()).unwrap();
+        conn.set_write_timeout(Some(budget)).unwrap();
+        conn.set_read_timeout(Some(budget)).unwrap();
+        let t0 = Instant::now();
+        conn.write_all(line.as_bytes()).unwrap();
+        conn.write_all(b"\n").unwrap();
+        let mut answer = String::new();
+        BufReader::new(&conn).read_line(&mut answer).unwrap();
+        let elapsed = t0.elapsed();
+        let resp = Json::parse(answer.trim_end()).unwrap();
+        assert_eq!(resp.str_field("type"), Some("error"), "got {answer}");
+        assert!(elapsed < budget, "a {}-byte line was answered after {elapsed:?}", line.len());
+    }
+
+    let mut other = connect(&server);
+    let pong = other.request(&Json::obj(vec![("op", "ping".into())])).unwrap();
+    assert_eq!(pong.str_field("type"), Some("pong"));
+    assert!(server.shutdown().clean);
+}
+
+/// A `shutdown` request whose `drain_ms` is `u64::MAX` is acked and
+/// recorded, not silently dropped by an overflowing `ms + 1` encoding.
+#[test]
+fn shutdown_request_with_maximal_drain_is_recorded() {
+    let server = boot(&ServeConfig::default());
+    let mut client = connect(&server);
+    let ack = client
+        .request(&Json::obj(vec![("op", "shutdown".into()), ("drain_ms", u64::MAX.into())]))
+        .unwrap();
+    assert_eq!(ack.str_field("type"), Some("shutdown_ack"), "got {}", ack.render());
+    assert!(server.shutdown_requested().is_some(), "the acked shutdown request was lost");
     assert!(server.shutdown().clean);
 }
 
