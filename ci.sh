@@ -25,8 +25,9 @@ run_suite "cargo clippy" cargo clippy --workspace --all-targets -- -D warnings
 run_suite "fault-injection smoke (sequential)" \
   cargo run --release -p pug-bench --bin repro-tables -- --fault-injection --timeout 20
 # Perf smoke: runs multi-obligation equivalence rows through the
-# incremental and one-shot backends, exits non-zero if any verdict
-# diverges between the two, and gates each row's incremental wall time
+# incremental backend and the one-shot reference backend
+# (`Ablation::OneShot`), exits non-zero if any verdict diverges between
+# the two, and gates each row's incremental wall time
 # against the committed baseline, which it reads with the shared
 # `pug_obs::Json` codec (>10% + 50 ms slack counts as a regression; rows
 # absent from the quick grid are reported, not gated). Also runs the
@@ -39,11 +40,11 @@ run_suite "perf smoke + regression gate" \
     --baseline BENCH_pr10.json
 # Generalized-qelim smoke: the differential suite proving elimination-on
 # and elimination-off report identical verdicts across the corpus and a
-# fuzzed grid, that the symbolic-stride pair is answered by the fully
-# parameterized rung only with the elimination on, and that an armed
-# `core::qelim` failpoint degrades to the legacy drop path with correct
-# provenance. Plus the replay gate: every race the checker calls provable
-# must carry a schedule this suite independently re-parses and replays.
+# fuzzed grid, and that the symbolic-stride pair is answered by the fully
+# parameterized rung only with the elimination on (off, it degrades to
+# the legacy drop path with correct provenance). Plus the replay gate:
+# every race the checker calls provable must carry a schedule this suite
+# independently re-parses and replays.
 run_suite "qelim smoke" \
   cargo test -q --test qelim_differential
 run_suite "race-replay smoke" \

@@ -15,7 +15,7 @@
 //! [`pug_smt::SolveSession`] backend with a shared per-row [`QueryCache`]
 //! (`CheckOptions::default()`, what the runner's rungs use)
 //! and once through the one-shot `check_detailed` path
-//! (`CheckOptions::one_shot()`, no cache). Per-stage timings
+//! (`Ablation::OneShot`, no cache). Per-stage timings
 //! (reduce / blast / solve), cache hit rates and clause reuse go out as
 //! JSON so the repo has a perf trajectory later PRs can diff. Phase-for-
 //! phase verdict agreement between the two modes is the correctness smoke:
@@ -33,7 +33,7 @@ use pug_ir::GpuConfig;
 use pug_obs::Json;
 use pugpara::equiv::{check_equivalence_param, CheckOptions, Mode, Report};
 use pugpara::runner::{run_resilient, ResilientReport, Rung, RunnerOptions};
-use pugpara::{KernelUnit, QueryCache, Soundness, Verdict};
+use pugpara::{Ablation, KernelUnit, QueryCache, Soundness, Verdict};
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
@@ -151,7 +151,7 @@ fn rows(quick: bool) -> Vec<RowSpec> {
 /// One rung-improvement row: a kernel pair pushed through the resilient
 /// runner's degradation ladder twice — once with the generalized
 /// (Presburger) quantifier elimination on (the default) and once with
-/// [`RunnerOptions::no_generalized_qelim`] — comparing which rung answers.
+/// [`Ablation::NoGeneralizedQelim`] — comparing which rung answers.
 /// An *improved* row is one where the verdicts agree but the elimination
 /// lets a stronger rung answer (e.g. `Param` instead of `NonParam(n=4)`),
 /// i.e. the proof got strictly more general at no soundness cost.
@@ -239,7 +239,7 @@ fn run_mode(spec: &RowSpec, timeout: Duration, incremental: bool) -> ModeMetrics
         let mut o = CheckOptions::with_timeout(timeout);
         o.mode = mode;
         if !incremental {
-            o = o.one_shot();
+            o = o.ablate(Ablation::OneShot);
         }
         if let Some(c) = &cache {
             o = o.with_query_cache(c.clone());
@@ -431,8 +431,8 @@ pub fn bench_json_report(timeout: Duration, quick: bool) -> BenchJsonReport {
         let on = run_resilient(&src, &tgt, &spec.cfg, &RunnerOptions::default());
         let on_wall = started.elapsed();
         let started = Instant::now();
-        let off =
-            run_resilient(&src, &tgt, &spec.cfg, &RunnerOptions::default().no_generalized_qelim());
+        let off_opts = RunnerOptions::default().ablate(Ablation::NoGeneralizedQelim);
+        let off = run_resilient(&src, &tgt, &spec.cfg, &off_opts);
         let off_wall = started.elapsed();
         // Agreement compares the *outcome* (clean / bug / timeout), not the
         // soundness decoration: a stronger answering rung upgrades

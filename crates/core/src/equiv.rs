@@ -43,24 +43,77 @@ use std::collections::{HashMap, HashSet};
 use std::time::{Duration, Instant};
 
 /// Checking mode (paper §IV-A / §IV-D).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum Mode {
     /// Discharge coverage obligations too; a `Verified(Sound)` verdict is a
     /// proof (when witnesses succeed).
+    #[default]
     Prove,
     /// Only the value queries — locate property violations quickly by
     /// ignoring the quantified formulas.
     FastBugHunt,
 }
 
+/// An engine stage replaced by the simpler reference path that its
+/// differential suite checks the default against.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Ablation {
+    /// A fresh solver per query instead of one persistent [`SolveSession`].
+    OneShot,
+    /// No SAT pre/inprocessing: queries solve the raw blasted CNF.
+    NoSimplify,
+    /// No term canonicalization (`pug_smt::normalize`) and so no
+    /// obligation discharged by rewriting.
+    NoNormalize,
+    /// No generalized (Presburger) quantifier elimination: symbolic-stride
+    /// obligations take the residual-drop path and the rung downgrades.
+    NoGeneralizedQelim,
+}
+
+/// The engine of one check: per-check resource caps and the ablated
+/// stages. [`CheckOptions`] and [`crate::runner::RunnerOptions`] both embed
+/// it, and the runner hands its copy to every rung and aux pass unchanged.
+/// The default is the production engine with no caps.
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+pub struct EngineConfig {
+    /// SAT conflict cap per query.
+    pub max_conflicts: Option<u64>,
+    /// Memory cap on the SAT clause database, in bytes of literal storage.
+    pub max_clause_bytes: Option<usize>,
+    /// Memory cap on hash-consed term nodes in the SMT context.
+    pub max_term_nodes: Option<usize>,
+    /// One bit per [`Ablation`].
+    ablations: u8,
+}
+
+impl EngineConfig {
+    /// Is stage `a` replaced by its reference path?
+    pub fn ablated(&self, a: Ablation) -> bool {
+        self.ablations & (1 << a as u8) != 0
+    }
+
+    /// Replace stage `a` by its reference path.
+    pub fn ablate(mut self, a: Ablation) -> EngineConfig {
+        self.ablations |= 1 << a as u8;
+        self
+    }
+
+    /// SAT pre/inprocessing settings for this engine.
+    fn sat_config(&self) -> SimplifyConfig {
+        if self.ablated(Ablation::NoSimplify) {
+            SimplifyConfig::off()
+        } else {
+            SimplifyConfig::default()
+        }
+    }
+}
+
 /// Options shared by all checkers.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct CheckOptions {
     /// Wall-clock budget for the whole check (all queries share it); the
     /// paper used 5 minutes ("T.O" beyond that).
     pub timeout: Option<Duration>,
-    /// Optional SAT conflict cap per query.
-    pub max_conflicts: Option<u64>,
     /// Prove vs fast-bug-hunt.
     pub mode: Mode,
     /// The paper's "+C." flag: scalar parameters to pin to concrete values.
@@ -69,15 +122,8 @@ pub struct CheckOptions {
     /// supervising thread) makes every layer of the pipeline yield `Unknown`
     /// within a bounded amount of work.
     pub cancel: CancelToken,
-    /// Memory cap on the SAT clause database, in bytes of literal storage.
-    pub max_clause_bytes: Option<usize>,
-    /// Memory cap on hash-consed term nodes in the SMT context.
-    pub max_term_nodes: Option<usize>,
-    /// Solve the check's queries through one persistent [`SolveSession`]
-    /// (committed shared prefix + assumption-guarded goals) instead of a
-    /// fresh solver per query. On by default; the one-shot path remains for
-    /// differential testing and benchmarking.
-    pub incremental: bool,
+    /// Resource caps and ablated stages.
+    pub engine: EngineConfig,
     /// Cross-rung cache of discharged obligations, shared by the rungs of
     /// one ladder run (and by every job of the `pug-serve` daemon); `None`
     /// disables caching.
@@ -89,44 +135,6 @@ pub struct CheckOptions {
     /// Metrics registry fed by the check's queries (solver counters, cache
     /// hits, CA instantiations). Disabled by default.
     pub metrics: MetricsRegistry,
-    /// SAT pre/inprocessing (BVE, subsumption, vivification). On by default;
-    /// the differential suites turn it off to cross-check verdicts and
-    /// witnesses against the plain CDCL path.
-    pub simplify: SimplifyConfig,
-    /// Term canonicalization (`pug_smt::normalize`): obligations are
-    /// rewritten to canonical form before fingerprinting and bit-blasting,
-    /// and obligations that collapse to `⊥` are discharged with zero SAT
-    /// calls. On by default; the differential suites turn it off to
-    /// cross-check verdicts against the raw-term path.
-    pub normalize: bool,
-    /// Generalized (Presburger / Omega-test-lite) quantifier elimination:
-    /// symbolic-stride loop memberships and affine witness inversions that
-    /// the monotone-only `qelim` machinery cannot express. On by default;
-    /// when off (or when the `core::qelim` failpoint is armed) the engine
-    /// behaves exactly as before this pass existed — affected obligations
-    /// fall back to the residual-drop path and the rung downgrades.
-    pub generalized_qelim: bool,
-}
-
-impl Default for CheckOptions {
-    fn default() -> CheckOptions {
-        CheckOptions {
-            timeout: None,
-            max_conflicts: None,
-            mode: Mode::Prove,
-            concretize: HashMap::new(),
-            cancel: CancelToken::new(),
-            max_clause_bytes: None,
-            max_term_nodes: None,
-            incremental: true,
-            query_cache: None,
-            trace: TraceSpan::disabled(),
-            metrics: MetricsRegistry::disabled(),
-            simplify: SimplifyConfig::default(),
-            normalize: true,
-            generalized_qelim: true,
-        }
-    }
 }
 
 impl CheckOptions {
@@ -153,48 +161,15 @@ impl CheckOptions {
         self
     }
 
-    /// Disable the incremental session: every query builds a fresh solver.
-    pub fn one_shot(mut self) -> CheckOptions {
-        self.incremental = false;
-        self
-    }
-
     /// Attach a cross-rung query cache.
     pub fn with_query_cache(mut self, cache: QueryCache) -> CheckOptions {
         self.query_cache = Some(cache);
         self
     }
 
-    /// Record this check's spans under `parent`.
-    pub fn with_trace(mut self, parent: TraceSpan) -> CheckOptions {
-        self.trace = parent;
-        self
-    }
-
-    /// Feed solver/cache/CA counters into `metrics`.
-    pub fn with_metrics(mut self, metrics: MetricsRegistry) -> CheckOptions {
-        self.metrics = metrics;
-        self
-    }
-
-    /// Disable SAT pre/inprocessing: queries solve the raw blasted CNF.
-    pub fn no_simplify(mut self) -> CheckOptions {
-        self.simplify = SimplifyConfig::off();
-        self
-    }
-
-    /// Disable term canonicalization: queries fingerprint and blast the
-    /// raw constructor-built terms.
-    pub fn no_normalize(mut self) -> CheckOptions {
-        self.normalize = false;
-        self
-    }
-
-    /// Disable the generalized (Presburger) quantifier elimination; the
-    /// differential suites use this to prove the fallback path still
-    /// reaches the same verdicts through the degradation ladder.
-    pub fn no_generalized_qelim(mut self) -> CheckOptions {
-        self.generalized_qelim = false;
+    /// Replace engine stage `a` by its reference path.
+    pub fn ablate(mut self, a: Ablation) -> CheckOptions {
+        self.engine = self.engine.ablate(a);
         self
     }
 }
@@ -236,12 +211,14 @@ pub(crate) struct Session {
     bits: u32,
     pub soundness: Soundness,
     mode: Mode,
-    /// The persistent incremental solver, used when `incremental` is set.
+    /// Resource caps (already folded into `budget`) and ablated stages.
+    engine: EngineConfig,
+    /// The persistent incremental solver, unused under
+    /// [`Ablation::OneShot`].
     solve: SolveSession,
     /// Un-concretized ids of premises committed into the session's shared
     /// prefix; `query` subtracts these so only the delta is re-encoded.
     committed: HashSet<TermId>,
-    incremental: bool,
     cache: Option<QueryCache>,
     /// Memo for canonical fingerprints (the term DAG is append-only, so
     /// entries never go stale).
@@ -252,14 +229,9 @@ pub(crate) struct Session {
     trace: TraceSpan,
     seg_stack: Vec<TraceSpan>,
     metrics: MetricsRegistry,
-    simplify: SimplifyConfig,
     /// Session-wide canonicalizer (memo keyed on the append-only term DAG,
     /// so entries stay valid across queries and epochs).
     norm: pug_smt::normalize::Normalizer,
-    normalize: bool,
-    /// Generalized (Presburger) quantifier elimination enabled for this
-    /// session (see [`CheckOptions::generalized_qelim`]).
-    generalized_qelim: bool,
 }
 
 /// Internal control flow: `Some` means stop with this verdict.
@@ -284,12 +256,13 @@ impl Session {
     }
 
     pub fn new(cfg: &GpuConfig, opts: &CheckOptions) -> Session {
+        let engine = opts.engine;
         let budget = Budget {
-            max_conflicts: opts.max_conflicts,
+            max_conflicts: engine.max_conflicts,
             max_propagations: None,
             deadline: opts.timeout.map(|d| Instant::now() + d),
-            max_clause_bytes: opts.max_clause_bytes,
-            max_term_nodes: opts.max_term_nodes,
+            max_clause_bytes: engine.max_clause_bytes,
+            max_term_nodes: engine.max_term_nodes,
             cancel: opts.cancel.clone(),
         };
         Session {
@@ -305,26 +278,22 @@ impl Session {
                 Mode::FastBugHunt => Soundness::UnderApprox,
             },
             mode: opts.mode,
-            solve: SolveSession::with_config(opts.simplify.clone()),
+            engine,
+            solve: SolveSession::with_config(engine.sat_config()),
             committed: HashSet::new(),
-            incremental: opts.incremental,
             cache: opts.query_cache.clone(),
             canon_memo: HashMap::new(),
             trace: opts.trace.clone(),
             seg_stack: Vec::new(),
             metrics: opts.metrics.clone(),
-            simplify: opts.simplify.clone(),
             norm: pug_smt::normalize::Normalizer::new(),
-            normalize: opts.normalize,
-            generalized_qelim: opts.generalized_qelim,
         }
     }
 
-    /// Is the generalized (Presburger) elimination usable right now? The
-    /// `core::qelim` failpoint simulates an aborted elimination: armed, the
-    /// engine degrades to the pre-Presburger residual-drop path.
+    /// Is the generalized (Presburger) elimination on? Off, the engine
+    /// takes the pre-Presburger residual-drop path.
     pub(crate) fn qelim_enabled(&self) -> bool {
-        self.generalized_qelim && pug_smt::failpoints::check("core::qelim").is_none()
+        !self.engine.ablated(Ablation::NoGeneralizedQelim)
     }
 
     /// The innermost open span (segment scope or the check root).
@@ -407,11 +376,11 @@ impl Session {
     /// epoch, while the next segment starts from a clean solver and
     /// re-commits only the small accumulated base.
     pub(crate) fn begin_epoch(&mut self) {
-        if !self.incremental {
+        if self.engine.ablated(Ablation::OneShot) {
             return;
         }
         self.metrics.incr("smt.epochs");
-        self.solve = SolveSession::with_config(self.simplify.clone());
+        self.solve = SolveSession::with_config(self.engine.sat_config());
         self.committed.clear();
     }
 
@@ -421,7 +390,7 @@ impl Session {
     /// may be committed** — the callers pass the monotonically growing
     /// `base` premise sets, never per-segment `extra`s.
     pub(crate) fn commit_prefix(&mut self, terms: &[TermId]) {
-        if !self.incremental {
+        if self.engine.ablated(Ablation::OneShot) {
             return;
         }
         let mut fresh: Vec<TermId> = Vec::new();
@@ -458,7 +427,7 @@ impl Session {
     /// term — sound, since every rule is equivalence-preserving — instead
     /// of poisoning the session.
     fn canon(&mut self, t: TermId) -> TermId {
-        if !self.normalize {
+        if self.engine.ablated(Ablation::NoNormalize) {
             return t;
         }
         match pug_smt::normalize::try_normalize(&mut self.norm, &mut self.ctx, t) {
@@ -508,7 +477,7 @@ impl Session {
         // lookup would be). An armed `smt::check` failpoint disables the
         // shortcut: injected SMT-layer faults must hit every query, not
         // just the ones that happen to need the solver.
-        if self.normalize
+        if !self.engine.ablated(Ablation::NoNormalize)
             && pug_smt::failpoints::check("smt::check").is_none()
             && pug_smt::normalize::facts_refute(
                 &mut self.ctx,
@@ -571,10 +540,10 @@ impl Session {
             }
         }
 
-        let (r, stats) = if self.incremental {
-            self.solve.check(&mut self.ctx, &delta, &self.budget)
+        let (r, stats) = if self.engine.ablated(Ablation::OneShot) {
+            check_detailed_with(&mut self.ctx, &asserts, &self.budget, &self.engine.sat_config())
         } else {
-            check_detailed_with(&mut self.ctx, &asserts, &self.budget, &self.simplify)
+            self.solve.check(&mut self.ctx, &delta, &self.budget)
         };
         if let (Some(cache), Some(f)) = (&self.cache, fp) {
             if r.is_unsat() {
@@ -1634,19 +1603,9 @@ fn pow2_constraint(sess: &mut Session, b: TermId) -> TermId {
     sess.ctx.mk_and(nz, p2)
 }
 
-/// Membership constraint `k ∈ space` (shared with the race checker).
-pub(crate) fn space_constraint_pub(
-    sess: &mut Session,
-    bound: &BoundConfig,
-    space: &LoopSpace,
-    k: TermId,
-    params: &HashSet<String>,
-) -> Result<TermId, Error> {
-    space_constraint(sess, bound, space, k, params)
-}
-
-/// Membership constraint `k ∈ space`.
-fn space_constraint(
+/// Membership constraint `k ∈ space` (shared with the race and perf
+/// checkers).
+pub(crate) fn space_constraint(
     sess: &mut Session,
     bound: &BoundConfig,
     space: &LoopSpace,

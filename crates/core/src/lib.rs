@@ -69,7 +69,8 @@ pub mod verdict;
 
 pub use cache::{QueryCache, QueryCacheStats, DEFAULT_QUERY_CACHE_CAPACITY};
 pub use equiv::{
-    check_equivalence_nonparam, check_equivalence_param, CheckOptions, Mode, QueryStat, Report,
+    check_equivalence_nonparam, check_equivalence_param, Ablation, CheckOptions, EngineConfig,
+    Mode, QueryStat, Report,
 };
 pub use error::Error;
 pub use explain::{explain_report, explain_with, ExplainOptions};

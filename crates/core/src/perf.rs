@@ -89,7 +89,7 @@ fn analyze(
                     };
                     let kvar = sess.ctx.mk_var(&format!("k!perf{i}"), Sort::BitVec(w));
                     let params = crate::equiv::scalar_params(&[unit]);
-                    let Ok(membership) = crate::equiv::space_constraint_pub(
+                    let Ok(membership) = crate::equiv::space_constraint(
                         &mut sess,
                         &bound,
                         &header.space,

@@ -83,7 +83,7 @@ pub fn check_races(
                 let w = bound.bits;
                 let kvar = sess.ctx.mk_var(&format!("k!race{i}"), Sort::BitVec(w));
                 let params = crate::equiv::scalar_params(&[unit]);
-                let membership = crate::equiv::space_constraint_pub(
+                let membership = crate::equiv::space_constraint(
                     &mut sess,
                     &bound,
                     &header.space,

@@ -26,7 +26,8 @@
 
 use crate::cache::QueryCache;
 use crate::equiv::{
-    check_equivalence_nonparam, check_equivalence_param, CheckOptions, Mode, QueryStat, Report,
+    check_equivalence_nonparam, check_equivalence_param, Ablation, CheckOptions, EngineConfig,
+    Mode, QueryStat, Report,
 };
 use crate::error::Error;
 use crate::kernel::KernelUnit;
@@ -216,21 +217,15 @@ pub struct ResilientReport {
 /// Ladder policy.
 #[derive(Clone, Debug)]
 pub struct RunnerOptions {
-    /// Wall-clock budget for the *first* rung; each descent multiplies it
-    /// by `backoff`. `None` = no per-rung deadline (the watchdog is then
-    /// not armed).
+    /// Wall-clock budget of every rung and aux pass. `None` = no per-rung
+    /// deadline (the watchdog is then not armed).
     pub rung_timeout: Option<Duration>,
-    /// Per-descent timeout multiplier. `< 1` spends less on weaker rungs
-    /// (they are cheaper); `1.0` keeps the budget flat.
-    pub backoff: f64,
     /// Scalar parameters for the Param+C rung; empty skips that rung.
     pub concretize: HashMap<String, u64>,
     /// Concrete thread counts for the NonParam rungs (tried in order).
     pub fallback_ns: Vec<u64>,
-    /// Memory cap on the SAT clause database, per rung.
-    pub max_clause_bytes: Option<usize>,
-    /// Memory cap on hash-consed term nodes, per rung.
-    pub max_term_nodes: Option<usize>,
+    /// Resource caps and ablated stages of every rung and aux pass.
+    pub engine: EngineConfig,
     /// Cross-rung cache of discharged obligations. `None` makes
     /// [`run_resilient`] create its own, so rungs of one run always share;
     /// supply one explicitly to share across runs.
@@ -245,14 +240,6 @@ pub struct RunnerOptions {
     /// conflicts, global-memory coalescing) on the target kernel once the
     /// ladder resolves, attaching their query statistics to the provenance.
     pub aux_passes: bool,
-    /// Term canonicalization (`pug_smt::normalize`) on every rung and aux
-    /// pass. On by default; differential suites turn it off.
-    pub normalize: bool,
-    /// Generalized (Presburger) quantifier elimination, forwarded to every
-    /// rung and aux pass ([`CheckOptions::generalized_qelim`]). On by
-    /// default; the differential suites turn it off to prove the ladder
-    /// reaches identical verdicts through the legacy residual-drop path.
-    pub generalized_qelim: bool,
     /// Parent of every rung's and aux pass's cancellation token: cancelling
     /// it stops the running rung and every one after it. Each rung's
     /// watchdog trips only that rung's child token, never this one. The
@@ -264,17 +251,13 @@ impl Default for RunnerOptions {
     fn default() -> RunnerOptions {
         RunnerOptions {
             rung_timeout: None,
-            backoff: 1.0,
             concretize: HashMap::new(),
             fallback_ns: vec![4],
-            max_clause_bytes: None,
-            max_term_nodes: None,
+            engine: EngineConfig::default(),
             query_cache: None,
             trace: TraceSink::disabled(),
             metrics: MetricsRegistry::disabled(),
             aux_passes: false,
-            normalize: true,
-            generalized_qelim: true,
             cancel: CancelToken::new(),
         }
     }
@@ -310,29 +293,26 @@ impl RunnerOptions {
         self
     }
 
-    /// Disable the generalized (Presburger) quantifier elimination on
-    /// every rung and aux pass.
-    pub fn no_generalized_qelim(mut self) -> RunnerOptions {
-        self.generalized_qelim = false;
+    /// Replace engine stage `a` by its reference path on every rung and
+    /// aux pass.
+    pub fn ablate(mut self, a: Ablation) -> RunnerOptions {
+        self.engine = self.engine.ablate(a);
         self
     }
 
-    /// Checker options for one rung or aux pass: the run's caps, cache,
-    /// trace parent, metrics and engine switches, under a child of
+    /// Checker options for one rung or aux pass: the run's budget, engine,
+    /// cache, trace parent and metrics, under a child of
     /// [`RunnerOptions::cancel`]. Aux passes share the run's cache and
-    /// canonicalization policy: their obligations fingerprint the same
-    /// way, so the registry's per-lookup counters cover every query.
-    fn check_options(&self, timeout: Option<Duration>, trace: TraceSpan) -> CheckOptions {
+    /// engine: their obligations fingerprint the same way, so the
+    /// registry's per-lookup counters cover every query.
+    fn check_options(&self, trace: TraceSpan) -> CheckOptions {
         CheckOptions {
-            timeout,
+            timeout: self.rung_timeout,
             cancel: self.cancel.child(),
-            max_clause_bytes: self.max_clause_bytes,
-            max_term_nodes: self.max_term_nodes,
+            engine: self.engine,
             query_cache: self.query_cache.clone(),
             trace,
             metrics: self.metrics.clone(),
-            normalize: self.normalize,
-            generalized_qelim: self.generalized_qelim,
             ..CheckOptions::default()
         }
     }
@@ -426,12 +406,11 @@ fn run_rung(
     tgt: &KernelUnit,
     cfg: &GpuConfig,
     opts: &RunnerOptions,
-    timeout: Option<Duration>,
     trace: TraceSpan,
 ) -> (RungRecord, Option<Verdict>) {
     let started = Instant::now();
-    let mut check = opts.check_options(timeout, trace);
-    let _watchdog = timeout.map(|t| Watchdog::arm(check.cancel.clone(), t));
+    let mut check = opts.check_options(trace);
+    let _watchdog = opts.rung_timeout.map(|t| Watchdog::arm(check.cancel.clone(), t));
 
     let outcome = catch_unwind(AssertUnwindSafe(move || {
         // Fault injection: `Panic` unwinds from inside the boundary, exactly
@@ -530,20 +509,18 @@ pub fn run_resilient(
     };
 
     let mut verdict = Verdict::Timeout;
-    for (index, rung) in ladder.into_iter().enumerate() {
+    for rung in ladder {
         // Cancelled from outside (the daemon's disconnect, drain or job
         // deadline): no further rung starts.
         if opts.cancel.is_cancelled() {
             break;
         }
-        let timeout =
-            opts.rung_timeout.map(|t| t.mul_f64(opts.backoff.max(0.01).powi(index as i32)));
         let rung_span = if verify_span.is_enabled() {
             verify_span.child(&format!("rung:{rung}"))
         } else {
             TraceSpan::disabled()
         };
-        let (record, answer) = run_rung(rung, src, tgt, cfg, opts, timeout, rung_span.clone());
+        let (record, answer) = run_rung(rung, src, tgt, cfg, opts, rung_span.clone());
         if rung_span.is_enabled() {
             rung_span.close_with(vec![
                 ("outcome", record.outcome.to_string().into()),
@@ -638,7 +615,7 @@ fn run_aux_passes(
         } else {
             TraceSpan::disabled()
         };
-        let check = opts.check_options(opts.rung_timeout, span.clone());
+        let check = opts.check_options(span.clone());
         let started = Instant::now();
         let (summary, stats) =
             match catch_unwind(AssertUnwindSafe(|| pass(tgt, cfg, &check))) {
@@ -698,5 +675,58 @@ mod tests {
         assert!(report.verdict.is_verified(), "{}", report.provenance.render());
         assert_eq!(report.provenance.answered_by, Some(Rung::Param));
         assert!(report.provenance.soundness_note.is_none());
+    }
+
+    /// Every query of a run: the rungs' first, then the aux passes'.
+    fn all_stats(r: &ResilientReport) -> impl Iterator<Item = &QueryStat> {
+        let rungs = r.provenance.rungs.iter().flat_map(|rr| &rr.stats);
+        rungs.chain(r.provenance.passes.iter().flat_map(|p| &p.stats))
+    }
+
+    #[test]
+    fn engine_reaches_every_rung_and_aux_pass() {
+        let v0 = KernelUnit::load(pug_kernels::reduction::V0).unwrap();
+        let v1 = KernelUnit::load(pug_kernels::reduction::V1).unwrap();
+        let cfg = GpuConfig::symbolic_1d(8);
+        let run = |opts: RunnerOptions| {
+            let metrics = MetricsRegistry::new();
+            let opts = opts.with_aux_passes().with_metrics(metrics.clone());
+            let report = run_resilient(&v0, &v1, &cfg, &opts);
+            (report, metrics.snapshot().counter("smt.epochs"))
+        };
+        let summaries = |r: &ResilientReport| -> Vec<String> {
+            r.provenance.passes.iter().map(|p| p.summary.clone()).collect()
+        };
+
+        // Not vacuous: the default engine windows its session, reuses
+        // clauses in every aux pass and discharges obligations by
+        // rewriting on the rungs and in the passes.
+        let (base, base_epochs) = run(RunnerOptions::default());
+        assert_eq!(base.provenance.answered_by, Some(Rung::Param), "{}", base.provenance.render());
+        assert_eq!(base.provenance.passes.len(), 3);
+        assert!(base_epochs > 0);
+        for p in &base.provenance.passes {
+            let reused: usize = p.stats.iter().map(|q| q.stats.clauses_reused).sum();
+            assert!(reused > 0, "pass {} reused no clauses", p.pass);
+        }
+        let rewrites = |stats: &[QueryStat]| stats.iter().any(|q| q.stats.discharged_by_rewrite);
+        assert!(base.provenance.rungs.iter().any(|rr| rewrites(&rr.stats)));
+        assert!(base.provenance.passes.iter().any(|p| rewrites(&p.stats)));
+
+        use Ablation::*;
+        for a in [OneShot, NoSimplify, NoNormalize, NoGeneralizedQelim] {
+            let (r, epochs) = run(RunnerOptions::default().ablate(a));
+            assert_eq!(r.verdict.to_string(), base.verdict.to_string(), "{a:?}");
+            assert_eq!(r.provenance.answered_by, Some(Rung::Param), "{a:?}");
+            assert_eq!(summaries(&r), summaries(&base), "{a:?}");
+            match a {
+                OneShot => {
+                    assert_eq!(epochs, 0);
+                    assert!(all_stats(&r).all(|q| q.stats.clauses_reused == 0));
+                }
+                NoNormalize => assert!(!all_stats(&r).any(|q| q.stats.discharged_by_rewrite)),
+                _ => {}
+            }
+        }
     }
 }

@@ -2,10 +2,11 @@
 //! kernel pair and for fuzzed `KernelGen` kernels, the persistent
 //! `SolveSession` path (`CheckOptions::default()`, incremental on) must
 //! return the same verdict — and the same per-query outcome sequence — as
-//! the one-shot `check_detailed` path (`CheckOptions::one_shot()`), both
+//! the one-shot `check_detailed` path (`Ablation::OneShot`), both
 //! with unlimited budgets and under failpoint-injected budget exhaustion
 //! mid-session.
 
+use pugpara::equiv::Ablation::OneShot;
 use pugpara::equiv::{check_equivalence_param, CheckOptions, Report};
 use pugpara::{KernelUnit, QueryCache, Soundness, Verdict};
 use pug_ir::GpuConfig;
@@ -113,7 +114,7 @@ fn assert_reports_agree(label: &str, inc: &Report, one: &Report) {
 
 fn differential(label: &str, src: &KernelUnit, tgt: &KernelUnit, cfg: &GpuConfig) -> Report {
     let inc = check_equivalence_param(src, tgt, cfg, &opts()).unwrap();
-    let one = check_equivalence_param(src, tgt, cfg, &opts().one_shot()).unwrap();
+    let one = check_equivalence_param(src, tgt, cfg, &opts().ablate(OneShot)).unwrap();
     assert_reports_agree(label, &inc, &one);
     inc
 }
@@ -189,12 +190,12 @@ fn reduction_pair_agrees_concretized() {
     let cfg = GpuConfig::symbolic_1d(8);
     let o = opts().concretized("n", 8);
     let inc = check_equivalence_param(&v0, &v1, &cfg, &o).unwrap();
-    let one = check_equivalence_param(&v0, &v1, &cfg, &o.clone().one_shot()).unwrap();
+    let one = check_equivalence_param(&v0, &v1, &cfg, &o.clone().ablate(OneShot)).unwrap();
     assert_reports_agree("reduction v0/v1 +C", &inc, &one);
 }
 
 #[test]
-fn fuzzed_kernels_agree_with_one_shot() {
+fn fuzzed_extended_profile_agrees() {
     let _faults = no_faults();
     // Self-equivalence of generated kernels: many obligations per check,
     // shared premise prefixes — exactly the profile the session optimizes.
@@ -209,7 +210,7 @@ fn fuzzed_kernels_agree_with_one_shot() {
             Ok(r) => r,
             Err(_) => continue, // alignment limits apply to both paths equally
         };
-        let one = check_equivalence_param(&unit, &unit, &cfg, &opts().one_shot()).unwrap();
+        let one = check_equivalence_param(&unit, &unit, &cfg, &opts().ablate(OneShot)).unwrap();
         assert_reports_agree(&format!("fuzz seed {seed}\n{src}"), &inc, &one);
     }
 }
@@ -222,7 +223,7 @@ fn fuzzed_basic_profile_agrees() {
         let Ok(unit) = KernelUnit::load(&src) else { continue };
         let cfg = GpuConfig::symbolic_1d(8);
         let Ok(inc) = check_equivalence_param(&unit, &unit, &cfg, &opts()) else { continue };
-        let one = check_equivalence_param(&unit, &unit, &cfg, &opts().one_shot()).unwrap();
+        let one = check_equivalence_param(&unit, &unit, &cfg, &opts().ablate(OneShot)).unwrap();
         assert_reports_agree(&format!("fuzz basic seed {seed}\n{src}"), &inc, &one);
     }
 }
@@ -239,7 +240,7 @@ fn budget_exhaustion_mid_session_agrees() {
 
     failpoints::arm("smt::check", Fault::BudgetExhausted);
     let inc = check_equivalence_param(&naive, &opt, &cfg, &opts());
-    let one = check_equivalence_param(&naive, &opt, &cfg, &opts().one_shot());
+    let one = check_equivalence_param(&naive, &opt, &cfg, &opts().ablate(OneShot));
     failpoints::reset();
 
     let inc = inc.unwrap();
@@ -258,9 +259,9 @@ fn tiny_conflict_cap_does_not_crash_session() {
     let opt = load(pug_kernels::transpose::OPTIMIZED);
     let cfg = GpuConfig::symbolic(8);
     let mut o = opts();
-    o.max_conflicts = Some(1);
+    o.engine.max_conflicts = Some(1);
     let inc = check_equivalence_param(&naive, &opt, &cfg, &o).unwrap();
-    let one = check_equivalence_param(&naive, &opt, &cfg, &o.clone().one_shot()).unwrap();
+    let one = check_equivalence_param(&naive, &opt, &cfg, &o.clone().ablate(OneShot)).unwrap();
     assert_reports_agree("conflict-starved transpose", &inc, &one);
 }
 
@@ -299,6 +300,6 @@ fn query_cache_short_circuits_repeat_checks() {
          ({cached} cached < {valid_first} discharged)"
     );
     // And the cross-mode agreement still holds with a cache in play.
-    let one = check_equivalence_param(&naive, &opt, &cfg, &opts().one_shot()).unwrap();
+    let one = check_equivalence_param(&naive, &opt, &cfg, &opts().ablate(OneShot)).unwrap();
     assert!(same_verdict(&second.verdict, &one.verdict));
 }

@@ -3,7 +3,7 @@
 //! enabled (`CheckOptions::default()`: BVE + subsumption + vivification +
 //! hash-consed blasting) must return the same verdict — and the same
 //! per-query outcome sequence — as the plain CDCL path
-//! (`CheckOptions::no_simplify()`), on both the incremental and one-shot
+//! (`Ablation::NoSimplify`), on both the incremental and one-shot
 //! backends, with unlimited budgets and under failpoint-aborted
 //! preprocessing.
 //!
@@ -12,6 +12,7 @@
 //! that every Sat model satisfies the original assertions — so each bug
 //! row here proves BVE model reconstruction end-to-end at the SMT level.
 
+use pugpara::equiv::Ablation::{NoSimplify, OneShot};
 use pugpara::equiv::{check_equivalence_param, CheckOptions, Report};
 use pugpara::{KernelUnit, Verdict};
 use pug_ir::GpuConfig;
@@ -62,12 +63,13 @@ fn assert_reports_agree(label: &str, on: &Report, off: &Report) {
 fn differential(label: &str, src: &KernelUnit, tgt: &KernelUnit, cfg: &GpuConfig) {
     // Incremental backend: simplify on vs off.
     let on = check_equivalence_param(src, tgt, cfg, &opts()).unwrap();
-    let off = check_equivalence_param(src, tgt, cfg, &opts().no_simplify()).unwrap();
+    let off = check_equivalence_param(src, tgt, cfg, &opts().ablate(NoSimplify)).unwrap();
     assert_reports_agree(&format!("{label} (incremental)"), &on, &off);
     // One-shot backend: simplify on vs off (isolates preprocessing from
     // session/assumption interactions).
-    let on1 = check_equivalence_param(src, tgt, cfg, &opts().one_shot()).unwrap();
-    let off1 = check_equivalence_param(src, tgt, cfg, &opts().one_shot().no_simplify()).unwrap();
+    let on1 = check_equivalence_param(src, tgt, cfg, &opts().ablate(OneShot)).unwrap();
+    let off1_opts = opts().ablate(OneShot).ablate(NoSimplify);
+    let off1 = check_equivalence_param(src, tgt, cfg, &off1_opts).unwrap();
     assert_reports_agree(&format!("{label} (one-shot)"), &on1, &off1);
     // And across backends with simplification enabled everywhere.
     assert_reports_agree(&format!("{label} (cross-backend)"), &on, &on1);
@@ -119,7 +121,7 @@ fn reduction_pair_agrees_concretized() {
     let cfg = GpuConfig::symbolic_1d(8);
     let o = opts().concretized("n", 8);
     let on = check_equivalence_param(&v0, &v1, &cfg, &o).unwrap();
-    let off = check_equivalence_param(&v0, &v1, &cfg, &o.clone().no_simplify()).unwrap();
+    let off = check_equivalence_param(&v0, &v1, &cfg, &o.clone().ablate(NoSimplify)).unwrap();
     assert_reports_agree("reduction v0/v1 +C", &on, &off);
 }
 
@@ -139,7 +141,7 @@ fn fuzzed_kernels_agree_without_simplification() {
             Ok(r) => r,
             Err(_) => continue, // alignment limits apply to both paths equally
         };
-        let off = check_equivalence_param(&unit, &unit, &cfg, &opts().no_simplify()).unwrap();
+        let off = check_equivalence_param(&unit, &unit, &cfg, &opts().ablate(NoSimplify)).unwrap();
         assert_reports_agree(&format!("fuzz seed {seed}\n{src}"), &on, &off);
     }
 }
@@ -151,7 +153,7 @@ fn fuzzed_basic_profile_agrees() {
         let Ok(unit) = KernelUnit::load(&src) else { continue };
         let cfg = GpuConfig::symbolic_1d(8);
         let Ok(on) = check_equivalence_param(&unit, &unit, &cfg, &opts()) else { continue };
-        let off = check_equivalence_param(&unit, &unit, &cfg, &opts().no_simplify()).unwrap();
+        let off = check_equivalence_param(&unit, &unit, &cfg, &opts().ablate(NoSimplify)).unwrap();
         assert_reports_agree(&format!("fuzz basic seed {seed}\n{src}"), &on, &off);
     }
 }
@@ -168,7 +170,7 @@ fn aborted_preprocessing_is_sound_and_agrees() {
 
     failpoints::arm("sat::simplify", Fault::BudgetExhausted);
     let on = check_equivalence_param(&naive, &buggy, &cfg, &opts());
-    let off = check_equivalence_param(&naive, &buggy, &cfg, &opts().no_simplify());
+    let off = check_equivalence_param(&naive, &buggy, &cfg, &opts().ablate(NoSimplify));
     failpoints::reset();
 
     let on = on.unwrap();
@@ -191,13 +193,13 @@ fn tiny_conflict_cap_agrees() {
     let opt = load(pug_kernels::transpose::OPTIMIZED);
     let cfg = GpuConfig::symbolic(8);
     let mut o = opts();
-    o.max_conflicts = Some(1);
+    o.engine.max_conflicts = Some(1);
     let on = check_equivalence_param(&naive, &opt, &cfg, &o).unwrap();
     // Budget-limited rows can answer differently with preprocessing (it may
     // solve within the cap what plain CDCL cannot), so only subset-check:
     // anything the plain path decided, the simplified path decides the same
     // way or better (never a contradicting verdict).
-    let off = check_equivalence_param(&naive, &opt, &cfg, &o.clone().no_simplify()).unwrap();
+    let off = check_equivalence_param(&naive, &opt, &cfg, &o.clone().ablate(NoSimplify)).unwrap();
     let contradict = matches!(
         (&on.verdict, &off.verdict),
         (Verdict::Verified(_), Verdict::Bug(_)) | (Verdict::Bug(_), Verdict::Verified(_))

@@ -108,12 +108,10 @@ impl ServeConfig {
     /// under these options to reproduce the daemon's verdicts.
     pub fn runner_options(&self) -> RunnerOptions {
         let resolved = resolve(self);
-        RunnerOptions {
-            rung_timeout: Some(self.rung_timeout),
-            max_clause_bytes: resolved.job_clause_bytes,
-            max_term_nodes: resolved.job_term_nodes,
-            ..RunnerOptions::default()
-        }
+        let mut opts = RunnerOptions::with_rung_timeout(self.rung_timeout);
+        opts.engine.max_clause_bytes = resolved.job_clause_bytes;
+        opts.engine.max_term_nodes = resolved.job_term_nodes;
+        opts
     }
 }
 
@@ -685,11 +683,11 @@ fn run_job(
         cancel: token.clone(),
         ..shared.runner.clone()
     };
-    // Hard job deadline: the ladder runs its rungs in series, and under
-    // the default policy three rungs at backoff 1.0 take at most three
-    // rung budgets — inside 4× + 5 s, which leaves room for queueing on a
-    // saturated pool. Beyond that something is wedged and the job token
-    // trips, which cancels the running rung.
+    // Hard job deadline: the ladder runs its rungs in series, each under
+    // the same rung budget, so the default policy's three rungs take at
+    // most three rung budgets — inside 4× + 5 s, which leaves room for
+    // queueing on a saturated pool. Beyond that something is wedged and
+    // the job token trips, which cancels the running rung.
     let hard_deadline = rung_timeout.saturating_mul(4) + Duration::from_secs(5);
     let _watchdog = Watchdog::arm(token.clone(), hard_deadline);
 

@@ -3,7 +3,7 @@
 //! enabled (`CheckOptions::default()`: AC canonicalization + fact
 //! propagation before fingerprinting and bit-blasting) must return the
 //! same verdict — and the same per-query outcome *class* — as the raw
-//! path (`CheckOptions::no_normalize()`), on both the incremental and
+//! path (`Ablation::NoNormalize`), on both the incremental and
 //! one-shot backends, and under a failpoint-aborted normalization pass.
 //!
 //! Outcomes are compared by class, not string: canonicalization may turn
@@ -15,6 +15,7 @@
 use pug_ir::GpuConfig;
 use pug_smt::failpoints::{self, Fault};
 use pug_testutil::KernelGen;
+use pugpara::equiv::Ablation::{NoNormalize, OneShot};
 use pugpara::equiv::{check_equivalence_param, CheckOptions, Report};
 use pugpara::runner::{run_resilient, RunnerOptions};
 use pugpara::{KernelUnit, Verdict};
@@ -87,13 +88,14 @@ fn rewrite_discharges(r: &Report) -> usize {
 fn differential(label: &str, src: &KernelUnit, tgt: &KernelUnit, cfg: &GpuConfig) -> usize {
     // Incremental backend: normalize on vs off.
     let on = check_equivalence_param(src, tgt, cfg, &opts()).unwrap();
-    let off = check_equivalence_param(src, tgt, cfg, &opts().no_normalize()).unwrap();
+    let off = check_equivalence_param(src, tgt, cfg, &opts().ablate(NoNormalize)).unwrap();
     assert_reports_agree(&format!("{label} (incremental)"), &on, &off);
-    assert_eq!(rewrite_discharges(&off), 0, "{label}: no_normalize must never discharge");
+    assert_eq!(rewrite_discharges(&off), 0, "{label}: NoNormalize must never discharge");
     // One-shot backend: normalize on vs off (isolates canonicalization
     // from session/assumption interactions).
-    let on1 = check_equivalence_param(src, tgt, cfg, &opts().one_shot()).unwrap();
-    let off1 = check_equivalence_param(src, tgt, cfg, &opts().one_shot().no_normalize()).unwrap();
+    let on1 = check_equivalence_param(src, tgt, cfg, &opts().ablate(OneShot)).unwrap();
+    let off1_opts = opts().ablate(OneShot).ablate(NoNormalize);
+    let off1 = check_equivalence_param(src, tgt, cfg, &off1_opts).unwrap();
     assert_reports_agree(&format!("{label} (one-shot)"), &on1, &off1);
     // And across backends with normalization enabled everywhere.
     assert_reports_agree(&format!("{label} (cross-backend)"), &on, &on1);
@@ -152,7 +154,7 @@ fn reduction_pair_agrees_concretized() {
     let cfg = GpuConfig::symbolic_1d(8);
     let o = opts().concretized("n", 8);
     let on = check_equivalence_param(&v0, &v1, &cfg, &o).unwrap();
-    let off = check_equivalence_param(&v0, &v1, &cfg, &o.clone().no_normalize()).unwrap();
+    let off = check_equivalence_param(&v0, &v1, &cfg, &o.clone().ablate(NoNormalize)).unwrap();
     assert_reports_agree("reduction v0/v1 +C", &on, &off);
 }
 
@@ -172,7 +174,7 @@ fn fuzzed_kernels_agree_without_normalization() {
             Ok(r) => r,
             Err(_) => continue, // alignment limits apply to both paths equally
         };
-        let off = check_equivalence_param(&unit, &unit, &cfg, &opts().no_normalize()).unwrap();
+        let off = check_equivalence_param(&unit, &unit, &cfg, &opts().ablate(NoNormalize)).unwrap();
         assert_reports_agree(&format!("fuzz seed {seed}\n{src}"), &on, &off);
     }
 }
@@ -184,7 +186,7 @@ fn fuzzed_basic_profile_agrees() {
         let Ok(unit) = KernelUnit::load(&src) else { continue };
         let cfg = GpuConfig::symbolic_1d(8);
         let Ok(on) = check_equivalence_param(&unit, &unit, &cfg, &opts()) else { continue };
-        let off = check_equivalence_param(&unit, &unit, &cfg, &opts().no_normalize()).unwrap();
+        let off = check_equivalence_param(&unit, &unit, &cfg, &opts().ablate(NoNormalize)).unwrap();
         assert_reports_agree(&format!("fuzz basic seed {seed}\n{src}"), &on, &off);
     }
 }
@@ -202,14 +204,14 @@ fn aborted_normalization_is_sound_and_agrees() {
 
     failpoints::arm("smt::normalize", Fault::BudgetExhausted);
     let faulted = check_equivalence_param(&naive, &buggy, &cfg, &opts());
-    let off = check_equivalence_param(&naive, &buggy, &cfg, &opts().no_normalize());
+    let off = check_equivalence_param(&naive, &buggy, &cfg, &opts().ablate(NoNormalize));
     failpoints::reset();
 
     let faulted = faulted.unwrap();
     let off = off.unwrap();
     assert!(faulted.verdict.is_bug(), "aborted normalization hid the bug: {}", faulted.verdict);
     // Degraded ≡ disabled: with every normalize call aborted, the session
-    // runs the raw terms — exactly the no_normalize configuration.
+    // runs the raw terms — exactly the NoNormalize configuration.
     assert_reports_agree("faulted normalization (transpose bug)", &faulted, &off);
     assert_eq!(
         rewrite_discharges(&faulted),
@@ -233,7 +235,7 @@ fn resilient_runner_provenance_agrees() {
     let cfg = GpuConfig::symbolic_2d(8);
 
     let on = run_resilient(&naive, &buggy, &cfg, &RunnerOptions::default());
-    let raw = RunnerOptions { normalize: false, ..RunnerOptions::default() };
+    let raw = RunnerOptions::default().ablate(NoNormalize);
     let off = run_resilient(&naive, &buggy, &cfg, &raw);
 
     assert!(same_verdict(&on.verdict, &off.verdict), "{} vs {}", on.verdict, off.verdict);

@@ -3,53 +3,25 @@
 //! it up the ladder.
 //!
 //! * On every corpus pair and on fuzzed `KernelGen` kernels, checking with
-//!   `generalized_qelim` on and off (× incremental/one-shot backends)
-//!   returns identically rendered verdicts at the `Param` rung whenever both sides can run it.
+//!   the elimination on and under `Ablation::NoGeneralizedQelim`
+//!   (× incremental/one-shot backends) returns identically rendered
+//!   verdicts at the `Param` rung whenever both sides can run it.
 //! * The grid-stride pair is the rung-improvement witness: with the
 //!   generalized elimination the `Param` rung proves it sound for every
 //!   block size; without it the rung fails on the symbolic-stride loop and
 //!   the ladder descends to `NonParam(4)` with downgrade provenance.
-//! * The `core::qelim` failpoint aborts the elimination mid-run: the rung
-//!   must degrade to the legacy residual-drop path (same downgrade note,
-//!   `qelim.residual_dropped` counted), never to a wrong answer.
-//!
-//! Failpoints are process-global and this binary's tests run concurrently,
-//! so every test takes `FAULT_LOCK` (armed or not).
+//! * With the elimination off, the rung degrades to the legacy
+//!   residual-drop path (same downgrade note, `qelim.residual_dropped`
+//!   counted), never to a wrong answer.
 
 use pug_ir::GpuConfig;
 use pug_obs::MetricsRegistry;
 use pug_testutil::KernelGen;
+use pugpara::equiv::Ablation::{NoGeneralizedQelim, OneShot};
 use pugpara::equiv::{check_equivalence_param, CheckOptions};
-use pugpara::failpoints::{self, Fault};
 use pugpara::runner::{run_resilient, Rung, RungOutcome, RunnerOptions};
 use pugpara::{KernelUnit, Verdict};
-use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
-
-static FAULT_LOCK: Mutex<()> = Mutex::new(());
-
-struct FaultScope(#[allow(dead_code)] MutexGuard<'static, ()>);
-
-impl FaultScope {
-    fn armed(sites: &[(&str, Fault)]) -> FaultScope {
-        let guard = FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        failpoints::reset();
-        for &(site, fault) in sites {
-            failpoints::arm(site, fault);
-        }
-        FaultScope(guard)
-    }
-
-    fn clean() -> FaultScope {
-        FaultScope::armed(&[])
-    }
-}
-
-impl Drop for FaultScope {
-    fn drop(&mut self) {
-        failpoints::reset();
-    }
-}
 
 fn load(src: &str) -> KernelUnit {
     KernelUnit::load(src).unwrap()
@@ -107,17 +79,16 @@ fn both_sides_corpus() -> Vec<(&'static str, KernelUnit, KernelUnit, GpuConfig)>
 /// rendered verdicts must agree cell by cell.
 #[test]
 fn corpus_grid_verdicts_identical() {
-    let _scope = FaultScope::clean();
     for (label, src, tgt, cfg) in both_sides_corpus() {
         let reference = check_equivalence_param(&src, &tgt, &cfg, &opts()).unwrap();
         for one_shot in [false, true] {
             for qelim_off in [false, true] {
                 let mut o = opts();
                 if one_shot {
-                    o = o.one_shot();
+                    o = o.ablate(OneShot);
                 }
                 if qelim_off {
-                    o = o.no_generalized_qelim();
+                    o = o.ablate(NoGeneralizedQelim);
                 }
                 let r = check_equivalence_param(&src, &tgt, &cfg, &o).unwrap();
                 assert_eq!(
@@ -134,7 +105,6 @@ fn corpus_grid_verdicts_identical() {
 /// the elimination on and off.
 #[test]
 fn kernelgen_grid_verdicts_identical() {
-    let _scope = FaultScope::clean();
     for i in 0..12u64 {
         let src = if i % 2 == 0 {
             KernelGen::basic(i * 13 + 1).kernel()
@@ -144,8 +114,8 @@ fn kernelgen_grid_verdicts_identical() {
         let unit = load(&src);
         let cfg = GpuConfig::symbolic_1d(8);
         let on = run_resilient(&unit, &unit, &cfg, &RunnerOptions::default());
-        let off =
-            run_resilient(&unit, &unit, &cfg, &RunnerOptions::default().no_generalized_qelim());
+        let off_opts = RunnerOptions::default().ablate(NoGeneralizedQelim);
+        let off = run_resilient(&unit, &unit, &cfg, &off_opts);
         assert_eq!(
             format!("{}", on.verdict),
             format!("{}", off.verdict),
@@ -153,10 +123,10 @@ fn kernelgen_grid_verdicts_identical() {
         );
         for one_shot in [false, true] {
             let mut a = opts();
-            let mut b = opts().no_generalized_qelim();
+            let mut b = opts().ablate(NoGeneralizedQelim);
             if one_shot {
-                a = a.one_shot();
-                b = b.one_shot();
+                a = a.ablate(OneShot);
+                b = b.ablate(OneShot);
             }
             let ra = check_equivalence_param(&unit, &unit, &cfg, &a).unwrap();
             let rb = check_equivalence_param(&unit, &unit, &cfg, &b).unwrap();
@@ -174,7 +144,6 @@ fn kernelgen_grid_verdicts_identical() {
 /// `NonParam(4)` (with downgrade provenance) without it.
 #[test]
 fn stride_pair_improves_rung() {
-    let _scope = FaultScope::clean();
     let src = load(pug_kernels::stride::GRID_STRIDE);
     let tgt = load(pug_kernels::stride::GRID_STRIDE_REASSOC);
     let cfg = GpuConfig::symbolic_1d(8);
@@ -188,7 +157,8 @@ fn stride_pair_improves_rung() {
     );
     assert!(on.provenance.soundness_note.is_none());
 
-    let off = run_resilient(&src, &tgt, &cfg, &RunnerOptions::default().no_generalized_qelim());
+    let off_opts = RunnerOptions::default().ablate(NoGeneralizedQelim);
+    let off = run_resilient(&src, &tgt, &cfg, &off_opts);
     assert_eq!(
         off.provenance.answered_by,
         Some(Rung::NonParam { n: 4 }),
@@ -208,17 +178,17 @@ fn stride_pair_improves_rung() {
     assert!(note.contains("n=4"), "downgrade note must pin the thread count, got: {note}");
 }
 
-/// Aborting the elimination mid-run via the `core::qelim` failpoint
-/// degrades to the legacy residual-drop path: same downgrade provenance as
-/// turning the flag off, and the drop is counted.
+/// Running the stride pair with the elimination off (the per-call switch
+/// that replaced the process-wide `core::qelim` failpoint) degrades to the
+/// legacy residual-drop path: the `Param` rung fails, the ladder answers at
+/// `NonParam(4)` with downgrade provenance, and the drop is counted.
 #[test]
 fn qelim_failpoint_degrades_with_provenance() {
-    let _scope = FaultScope::armed(&[("core::qelim", Fault::BudgetExhausted)]);
     let src = load(pug_kernels::stride::GRID_STRIDE);
     let tgt = load(pug_kernels::stride::GRID_STRIDE_REASSOC);
     let cfg = GpuConfig::symbolic_1d(8);
     let metrics = MetricsRegistry::new();
-    let opts = RunnerOptions::default().with_metrics(metrics.clone());
+    let opts = RunnerOptions::default().ablate(NoGeneralizedQelim).with_metrics(metrics.clone());
 
     let r = run_resilient(&src, &tgt, &cfg, &opts);
     assert_eq!(
@@ -231,7 +201,7 @@ fn qelim_failpoint_degrades_with_provenance() {
     let param = r.provenance.rungs.iter().find(|rr| rr.rung == Rung::Param).unwrap();
     assert!(
         matches!(param.outcome, RungOutcome::Failed(_)),
-        "Param must fail when the elimination faults, got {}",
+        "Param must fail without the elimination, got {}",
         param.outcome
     );
     let note = r.provenance.soundness_note.as_deref().unwrap();
@@ -240,7 +210,7 @@ fn qelim_failpoint_degrades_with_provenance() {
     let snap = metrics.snapshot();
     assert!(
         snap.counter("qelim.residual_dropped") >= 1,
-        "the aborted elimination must count its residual drops"
+        "the legacy path must count its residual drops"
     );
-    assert_eq!(snap.counter("qelim.generalized"), 0, "no elimination may succeed while faulted");
+    assert_eq!(snap.counter("qelim.generalized"), 0, "no elimination may succeed while ablated");
 }
