@@ -219,7 +219,6 @@ struct ModeMetrics {
     cache_misses: usize,
     vars_eliminated: u64,
     clauses_subsumed: u64,
-    clauses_vivified: u64,
     gates_hashconsed: u64,
 }
 
@@ -265,7 +264,6 @@ fn run_mode(spec: &RowSpec, timeout: Duration, incremental: bool) -> ModeMetrics
                 m.clauses_reused += q.stats.clauses_reused;
                 m.vars_eliminated += q.stats.sat.vars_eliminated;
                 m.clauses_subsumed += q.stats.sat.clauses_subsumed;
-                m.clauses_vivified += q.stats.sat.clauses_vivified;
                 m.gates_hashconsed += q.stats.gates_hashconsed;
                 if q.stats.cached {
                     m.cached_queries += 1;
@@ -305,7 +303,6 @@ fn mode_json(m: &ModeMetrics) -> Json {
         ("cache_misses", m.cache_misses.into()),
         ("vars_eliminated", m.vars_eliminated.into()),
         ("clauses_subsumed", m.clauses_subsumed.into()),
-        ("clauses_vivified", m.clauses_vivified.into()),
         ("gates_hashconsed", m.gates_hashconsed.into()),
     ])
 }

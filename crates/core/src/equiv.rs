@@ -603,7 +603,6 @@ impl Session {
         m.add("sat.learnt_clauses", stats.sat.learnt_clauses);
         m.add("sat.vars_eliminated", stats.sat.vars_eliminated);
         m.add("sat.clauses_subsumed", stats.sat.clauses_subsumed);
-        m.add("sat.clauses_vivified", stats.sat.clauses_vivified);
         m.add("smt.gates_hashconsed", stats.gates_hashconsed);
         m.add("smt.reduced_assertions", stats.reduced_assertions as u64);
         m.add("smt.clauses_reused", stats.clauses_reused as u64);

@@ -147,11 +147,9 @@ pub fn explain_with(report: &ResilientReport, opts: &ExplainOptions) -> String {
         );
         let _ = writeln!(
             out,
-            "  simplification: {} vars eliminated, {} clauses subsumed, {} clauses vivified, \
-             {} gates hash-consed",
+            "  simplification: {} vars eliminated, {} clauses subsumed, {} gates hash-consed",
             effort.vars_eliminated,
             effort.clauses_subsumed,
-            effort.clauses_vivified,
             gates_hashconsed,
         );
         let _ = writeln!(

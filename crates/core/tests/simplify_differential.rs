@@ -1,7 +1,7 @@
-//! Differential suite for SAT pre/inprocessing: for every corpus kernel
+//! Differential suite for SAT preprocessing: for every corpus kernel
 //! pair and for fuzzed `KernelGen` kernels, checking with simplification
-//! enabled (`CheckOptions::default()`: BVE + subsumption + vivification +
-//! hash-consed blasting) must return the same verdict — and the same
+//! enabled (`CheckOptions::default()`: BVE + subsumption + hash-consed
+//! blasting) must return the same verdict — and the same
 //! per-query outcome sequence — as the plain CDCL path
 //! (`Ablation::NoSimplify`), on both the incremental and one-shot
 //! backends, with unlimited budgets and under failpoint-aborted

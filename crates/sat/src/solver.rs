@@ -39,7 +39,8 @@ pub struct Stats {
     pub vars_eliminated: u64,
     /// Clauses deleted or strengthened by (self-)subsumption.
     pub clauses_subsumed: u64,
-    /// Clauses shortened by vivification (inprocessing).
+    /// Always 0: clause vivification was removed. The field stays so
+    /// existing readers keep compiling.
     pub clauses_vivified: u64,
 }
 
@@ -108,8 +109,8 @@ pub struct Solver {
     cancel_poll_at: u64,
     /// Set by `propagate` when the active token tripped mid-run.
     interrupted: bool,
-    /// Pre/inprocessing state (BVE elimination stack, frozen set,
-    /// vivification cursor); see the [`simplify`] module.
+    /// Preprocessing state (BVE elimination stack, frozen set); see the
+    /// [`simplify`] module.
     simp: Simp,
     stats: Stats,
 }
@@ -769,17 +770,6 @@ impl Solver {
                             >= self.simp.cfg.preprocess_min_conflicts
                     {
                         self.preprocess_pass(budget);
-                        if !self.ok {
-                            return SolveResult::Unsat;
-                        }
-                        if self.interrupted
-                            || budget.exhausted(self.stats.conflicts, self.stats.propagations)
-                        {
-                            return SolveResult::Unknown;
-                        }
-                    }
-                    if self.simp.should_vivify(self.stats.conflicts) {
-                        self.vivify_round(budget);
                         if !self.ok {
                             return SolveResult::Unsat;
                         }

@@ -1,6 +1,6 @@
-//! Pre/inprocessing for the CDCL solver: SatELite-style bounded variable
-//! elimination (BVE), occurrence-list subsumption with self-subsuming
-//! resolution, and clause vivification between restarts.
+//! Preprocessing for the CDCL solver: SatELite-style bounded variable
+//! elimination (BVE) and occurrence-list subsumption with self-subsuming
+//! resolution.
 //!
 //! The design decisions that make this safe in an *incremental* solver:
 //!
@@ -30,21 +30,21 @@
 use std::mem::size_of;
 
 use crate::budget::Budget;
-use crate::clause::{Clause, ClauseRef, Watcher};
+use crate::clause::Clause;
 use crate::failpoints;
 use crate::types::{LBool, Lit, Var};
 
 use super::Solver;
 
 /// Failpoint site armed by the fault-injection suite to abort or poison
-/// preprocessing and vivification passes.
+/// preprocessing passes.
 const SIMPLIFY_FAILPOINT: &str = "sat::simplify";
 
 /// Iterations between budget/failpoint polls inside the elimination and
 /// subsumption loops.
 const POLL_INTERVAL: usize = 64;
 
-/// Tuning knobs for pre/inprocessing. The defaults are conservative enough
+/// Tuning knobs for preprocessing. The defaults are conservative enough
 /// for the tiny CNFs of unit tests and effective on the multiplier-heavy
 /// bit-blasted formulas the verifier produces.
 #[derive(Clone, Debug)]
@@ -55,8 +55,6 @@ pub struct SimplifyConfig {
     pub bve: bool,
     /// Subsumption + self-subsuming resolution (preprocessing).
     pub subsumption: bool,
-    /// Clause vivification between restarts (inprocessing).
-    pub vivification: bool,
     /// Extra clauses a single elimination may add beyond the clauses it
     /// removes (0 = never grow the database).
     pub bve_grow: usize,
@@ -74,12 +72,6 @@ pub struct SimplifyConfig {
     /// never pay for BVE; a search that proves nontrivial runs the pass at
     /// its next restart and profits from it for the rest of the solve.
     pub preprocess_min_conflicts: u64,
-    /// Conflicts between vivification rounds.
-    pub viv_conflict_period: u64,
-    /// Propagation ticket per vivification round.
-    pub viv_propagation_ticket: u64,
-    /// Only vivify clauses of at most this many literals.
-    pub viv_max_clause_len: usize,
 }
 
 impl Default for SimplifyConfig {
@@ -88,15 +80,11 @@ impl Default for SimplifyConfig {
             enabled: true,
             bve: true,
             subsumption: true,
-            vivification: true,
             bve_grow: 8,
             bve_occ_product: 2000,
             bve_max_resolvent_len: 32,
             preprocess_min_new_clauses: 256,
             preprocess_min_conflicts: 250,
-            viv_conflict_period: 2000,
-            viv_propagation_ticket: 50_000,
-            viv_max_clause_len: 32,
         }
     }
 }
@@ -120,7 +108,7 @@ struct ElimRecord {
 
 const NO_RECORD: u32 = u32::MAX;
 
-/// Per-solver pre/inprocessing state.
+/// Per-solver preprocessing state.
 pub(crate) struct Simp {
     pub(crate) cfg: SimplifyConfig,
     /// Variables BVE must never eliminate (client interface variables and
@@ -143,8 +131,6 @@ pub(crate) struct Simp {
     ran_once: bool,
     /// Clause-arena index reached by the last subsumption pass.
     clause_cursor: usize,
-    viv_cursor: usize,
-    conflicts_at_last_viv: u64,
 }
 
 impl Simp {
@@ -161,8 +147,6 @@ impl Simp {
             deferred: false,
             ran_once: false,
             clause_cursor: 0,
-            viv_cursor: 0,
-            conflicts_at_last_viv: 0,
         }
     }
 
@@ -183,19 +167,6 @@ impl Simp {
         for l in lits {
             self.touched[l.var().index()] = true;
         }
-    }
-
-    /// Gate for the inprocessing hook in the restart loop; advances the
-    /// round marker when it fires.
-    pub(crate) fn should_vivify(&mut self, conflicts: u64) -> bool {
-        if !(self.cfg.enabled && self.cfg.vivification) {
-            return false;
-        }
-        if conflicts.saturating_sub(self.conflicts_at_last_viv) < self.cfg.viv_conflict_period {
-            return false;
-        }
-        self.conflicts_at_last_viv = conflicts;
-        true
     }
 }
 
@@ -706,162 +677,18 @@ impl Solver {
             self.model[v.index()] = LBool::from_bool(val);
         }
     }
-
-    /// One vivification round: walk the clause arena from a rotating cursor
-    /// under a propagation ticket, asserting each clause's negation literal
-    /// by literal to find implied/conflicting prefixes that shorten it.
-    /// Runs at decision level 0 between restarts.
-    pub(super) fn vivify_round(&mut self, budget: &Budget) {
-        debug_assert_eq!(self.decision_level(), 0);
-        if failpoints::trip(SIMPLIFY_FAILPOINT).is_some() {
-            return;
-        }
-        // Probing rewrites clauses that stale level-0 reasons could
-        // reference; drop them (they are never dereferenced again).
-        for i in 0..self.trail.len() {
-            let v = self.trail[i].var();
-            self.reason[v.index()] = None;
-        }
-        let n = self.clauses.len();
-        if n == 0 {
-            return;
-        }
-        let start_props = self.stats.propagations;
-        let mut examined = 0usize;
-        while examined < n {
-            if self.stats.propagations - start_props >= self.simp.cfg.viv_propagation_ticket
-                || budget.interrupted()
-            {
-                break;
-            }
-            let i = self.simp.viv_cursor % n;
-            self.simp.viv_cursor = self.simp.viv_cursor.wrapping_add(1) % n.max(1);
-            examined += 1;
-            {
-                let c = &self.clauses[i];
-                if c.deleted || c.lits.len() < 3 || c.lits.len() > self.simp.cfg.viv_max_clause_len
-                {
-                    continue;
-                }
-            }
-            if !self.vivify_clause(i) || !self.ok {
-                break;
-            }
-        }
-        self.cancel_until(0);
-    }
-
-    /// Vivify one clause; returns `false` when the round should stop
-    /// (cancellation tripped mid-probe). The clause is detached during
-    /// probing so propagation cannot use it to justify its own literals.
-    fn vivify_clause(&mut self, i: usize) -> bool {
-        let lits = self.clauses[i].lits.clone();
-        self.detach_clause(i);
-        let mut kept: Vec<Lit> = Vec::with_capacity(lits.len());
-        let mut satisfied_at_level0 = false;
-        for &l in &lits {
-            match self.value(l) {
-                LBool::True => {
-                    if self.decision_level() == 0 {
-                        // Satisfied forever; the clause is garbage.
-                        satisfied_at_level0 = true;
-                    } else {
-                        // ¬(kept) propagated l: `kept ∨ l` is implied and
-                        // subsumes the original clause.
-                        kept.push(l);
-                    }
-                    break;
-                }
-                // ¬(kept) propagated ¬l (or l is false at level 0): l is
-                // redundant in this clause.
-                LBool::False => {}
-                LBool::Undef => {
-                    self.trail_lim.push(self.trail.len());
-                    self.assign(!l, None);
-                    if self.propagate().is_some() {
-                        // ¬(kept ∨ l) is contradictory: `kept ∨ l` is
-                        // implied and replaces the clause.
-                        kept.push(l);
-                        break;
-                    }
-                    if self.interrupted {
-                        self.cancel_until(0);
-                        self.attach_clause(i);
-                        return false;
-                    }
-                    kept.push(l);
-                }
-            }
-        }
-        self.cancel_until(0);
-        if satisfied_at_level0 {
-            self.delete_clause(i);
-            return true;
-        }
-        if kept.len() == lits.len() {
-            self.attach_clause(i);
-            return true;
-        }
-        self.stats.clauses_vivified += 1;
-        match kept.len() {
-            0 => {
-                self.delete_clause(i);
-                self.ok = false;
-            }
-            1 => {
-                let unit = kept[0];
-                self.delete_clause(i);
-                match self.value(unit) {
-                    LBool::True => {}
-                    LBool::False => self.ok = false,
-                    LBool::Undef => {
-                        self.assign(unit, None);
-                        if self.propagate().is_some() {
-                            self.ok = false;
-                        }
-                    }
-                }
-            }
-            _ => {
-                let dropped = lits.len() - kept.len();
-                self.clause_bytes -= dropped * size_of::<Lit>();
-                self.clauses[i].lits = kept;
-                self.attach_clause(i);
-            }
-        }
-        true
-    }
-
-    /// Remove the two watcher entries of clause `i`.
-    fn detach_clause(&mut self, i: usize) {
-        let cref = ClauseRef(i as u32);
-        let (w0, w1) = {
-            let c = &self.clauses[i];
-            ((!c.lits[0]).index(), (!c.lits[1]).index())
-        };
-        self.watches[w0].retain(|w| w.cref != cref);
-        self.watches[w1].retain(|w| w.cref != cref);
-    }
-
-    /// Watch the first two literals of clause `i`.
-    fn attach_clause(&mut self, i: usize) {
-        let cref = ClauseRef(i as u32);
-        let (l0, l1) = (self.clauses[i].lits[0], self.clauses[i].lits[1]);
-        self.watches[(!l0).index()].push(Watcher { cref, blocker: l1 });
-        self.watches[(!l1).index()].push(Watcher { cref, blocker: l0 });
-    }
 }
 
 // Public configuration / inspection surface.
 impl Solver {
-    /// Replace the pre/inprocessing configuration. Takes effect at the next
+    /// Replace the preprocessing configuration. Takes effect at the next
     /// solve; variables already eliminated stay eliminated (they restore
     /// lazily if referenced again).
     pub fn set_simplify_config(&mut self, cfg: SimplifyConfig) {
         self.simp.cfg = cfg;
     }
 
-    /// The active pre/inprocessing configuration.
+    /// The active preprocessing configuration.
     pub fn simplify_config(&self) -> &SimplifyConfig {
         &self.simp.cfg
     }
@@ -1026,7 +853,7 @@ mod tests {
     }
 
     /// With simplification disabled the solver behaves exactly like the
-    /// textbook version (no eliminations, no vivification).
+    /// textbook version (no eliminations, no subsumption).
     #[test]
     fn disabled_config_is_inert() {
         let mut s = Solver::new();
@@ -1038,37 +865,6 @@ mod tests {
         let st = s.stats();
         assert_eq!(st.vars_eliminated, 0);
         assert_eq!(st.clauses_subsumed, 0);
-        assert_eq!(st.clauses_vivified, 0);
-    }
-
-    /// Aggressive vivification (every restart) over a conflict-heavy
-    /// instance must not change the answer: rounds rotate over originals
-    /// and learnts, shrinking or deleting them mid-search.
-    #[test]
-    fn vivification_preserves_answers() {
-        let mut s = Solver::new();
-        s.set_simplify_config(SimplifyConfig {
-            bve: false,
-            subsumption: false,
-            viv_conflict_period: 1,
-            ..SimplifyConfig::default()
-        });
-        let n = 6;
-        let m = 5;
-        let p: Vec<Vec<Var>> = (0..n).map(|_| (0..m).map(|_| s.new_var()).collect()).collect();
-        for row in &p {
-            let c: Vec<Lit> = row.iter().map(|v| v.pos()).collect();
-            s.add_clause(&c);
-        }
-        #[allow(clippy::needless_range_loop)]
-        for h in 0..m {
-            for i in 0..n {
-                for j in (i + 1)..n {
-                    s.add_clause(&[p[i][h].neg(), p[j][h].neg()]);
-                }
-            }
-        }
-        assert_eq!(s.solve(&Budget::unlimited()), SolveResult::Unsat);
     }
 
     /// Unsatisfiability discovered entirely inside preprocessing is

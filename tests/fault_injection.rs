@@ -200,8 +200,8 @@ fn concretized_rung_catches_param_fault() {
 }
 
 /// A degradation fault inside SAT preprocessing (`sat::simplify`) aborts
-/// the pass but never the answer: skipping BVE/subsumption/vivification is
-/// always sound, so the Param rung still proves the pair — preprocessing
+/// the pass but never the answer: skipping BVE/subsumption is always
+/// sound, so the Param rung still proves the pair — preprocessing
 /// can stall neither the verdict nor the watchdog.
 #[test]
 fn aborted_preprocessing_still_answers_on_param() {
