@@ -33,7 +33,7 @@
 //! ```
 
 pub mod budget;
-pub mod clause;
+mod clause;
 pub mod dimacs;
 pub mod failpoints;
 mod heap;

@@ -6,7 +6,7 @@
 //! scratch here because the verifier must run without an external solver.
 
 use crate::budget::{Budget, CancelToken};
-use crate::clause::{Clause, ClauseRef, Watcher};
+use crate::clause::{ClauseDb, ClauseRef, Watcher};
 use crate::failpoints;
 use crate::heap::VarHeap;
 use crate::types::{LBool, Lit, Var};
@@ -72,7 +72,7 @@ const CANCEL_POLL_INTERVAL: u64 = 64;
 
 /// The CDCL solver.
 pub struct Solver {
-    clauses: Vec<Clause>,
+    db: ClauseDb,
     watches: Vec<Vec<Watcher>>,
     assigns: Vec<LBool>,
     saved_phase: Vec<bool>,
@@ -86,6 +86,15 @@ pub struct Solver {
     cla_inc: f64,
     order: VarHeap,
     seen: Vec<bool>,
+    /// Scratch buffers of `analyze`, reused across conflicts: the learnt
+    /// clause, and its literals before minimization (whose `seen` flags
+    /// must all be cleared).
+    learnt: Vec<Lit>,
+    to_clear: Vec<Lit>,
+    /// Per-decision-level stamp for counting a learnt clause's LBD; a level
+    /// is counted once its entry equals `lbd_stamp`.
+    level_stamp: Vec<u64>,
+    lbd_stamp: u64,
     /// Per-variable assumed polarity of the current `solve_with` call
     /// (`Undef` = not an assumption). Lets `analyze_final` test assumption
     /// membership in O(1) instead of scanning the assumption slice.
@@ -99,9 +108,6 @@ pub struct Solver {
     /// Set when the learnt DB outgrew its cap; reduction runs at the next
     /// restart so the watch lists are only rebuilt at decision level 0.
     reduce_pending: bool,
-    /// Bytes of literal storage across live clauses (original + learnt);
-    /// checked against `Budget::max_clause_bytes`.
-    clause_bytes: usize,
     /// Token of the budget currently being solved under, polled inside
     /// `propagate` so cancellation lands at propagation granularity.
     active_cancel: CancelToken,
@@ -125,7 +131,7 @@ impl Solver {
     /// Fresh solver with no variables or clauses.
     pub fn new() -> Solver {
         Solver {
-            clauses: Vec::new(),
+            db: ClauseDb::default(),
             watches: Vec::new(),
             assigns: Vec::new(),
             saved_phase: Vec::new(),
@@ -139,6 +145,10 @@ impl Solver {
             cla_inc: 1.0,
             order: VarHeap::new(),
             seen: Vec::new(),
+            learnt: Vec::new(),
+            to_clear: Vec::new(),
+            level_stamp: vec![0],
+            lbd_stamp: 0,
             assumption_mark: Vec::new(),
             ok: true,
             model: Vec::new(),
@@ -146,7 +156,6 @@ impl Solver {
             num_learnts: 0,
             max_learnts: 8192.0,
             reduce_pending: false,
-            clause_bytes: 0,
             active_cancel: CancelToken::new(),
             cancel_poll_at: CANCEL_POLL_INTERVAL,
             interrupted: false,
@@ -164,6 +173,7 @@ impl Solver {
         self.reason.push(None);
         self.activity.push(0.0);
         self.seen.push(false);
+        self.level_stamp.push(0);
         self.assumption_mark.push(LBool::Undef);
         self.watches.push(Vec::new());
         self.watches.push(Vec::new());
@@ -179,7 +189,7 @@ impl Solver {
 
     /// Number of non-deleted clauses (original + learnt).
     pub fn num_clauses(&self) -> usize {
-        self.clauses.iter().filter(|c| !c.deleted).count()
+        self.db.live()
     }
 
     /// Cumulative statistics.
@@ -190,7 +200,7 @@ impl Solver {
     /// Bytes of literal storage held by live clauses — the quantity capped
     /// by [`Budget::max_clause_bytes`].
     pub fn clause_db_bytes(&self) -> usize {
-        self.clause_bytes
+        self.db.bytes()
     }
 
     /// Whether the clause set is still possibly satisfiable (no top-level
@@ -207,7 +217,7 @@ impl Solver {
     /// Current value of a literal under the partial assignment.
     #[inline]
     pub fn value(&self, l: Lit) -> LBool {
-        self.assigns[l.var().index()].xor(!l.is_positive())
+        lit_value(&self.assigns, l)
     }
 
     #[inline]
@@ -257,23 +267,18 @@ impl Solver {
                 self.ok
             }
             _ => {
-                self.attach_new(out, false, 0);
+                self.attach_new(&out, false, 0);
                 true
             }
         }
     }
 
-    fn attach_new(&mut self, lits: Vec<Lit>, learnt: bool, lbd: u32) -> ClauseRef {
+    fn attach_new(&mut self, lits: &[Lit], learnt: bool, lbd: u32) -> ClauseRef {
         debug_assert!(lits.len() >= 2);
-        let cref = ClauseRef(self.clauses.len() as u32);
-        let w0 = !lits[0];
-        let w1 = !lits[1];
-        let blocker0 = lits[1];
-        let blocker1 = lits[0];
-        self.clause_bytes += lits.len() * std::mem::size_of::<Lit>();
-        self.clauses.push(Clause::new(lits, learnt, lbd));
-        self.watches[w0.index()].push(Watcher { cref, blocker: blocker0 });
-        self.watches[w1.index()].push(Watcher { cref, blocker: blocker1 });
+        let id = self.db.push(lits, learnt, lbd);
+        let cref = self.db.meta(id).cref;
+        self.watches[(!lits[0]).index()].push(Watcher { cref, blocker: lits[1] });
+        self.watches[(!lits[1]).index()].push(Watcher { cref, blocker: lits[0] });
         if learnt {
             self.num_learnts += 1;
             self.stats.learnt_clauses += 1;
@@ -320,26 +325,24 @@ impl Solver {
                     continue;
                 }
                 let cref = w.cref;
-                // Make sure the false literal (¬p) sits at position 1.
-                let (first, len) = {
-                    let c = &mut self.clauses[cref.index()];
-                    if c.lits[0] == !p {
-                        c.lits.swap(0, 1);
-                    }
-                    debug_assert_eq!(c.lits[1], !p);
-                    (c.lits[0], c.lits.len())
-                };
-                if first != w.blocker && self.value(first) == LBool::True {
+                // One arena block: make sure the false literal (¬p) sits at
+                // position 1.
+                let lits = self.db.lits_mut(cref);
+                if lits[0] == !p {
+                    lits.swap(0, 1);
+                }
+                debug_assert_eq!(lits[1], !p);
+                let first = lits[0];
+                if first != w.blocker && lit_value(&self.assigns, first) == LBool::True {
                     ws[i] = Watcher { cref, blocker: first };
                     i += 1;
                     continue;
                 }
                 // Look for a replacement watch.
-                for k in 2..len {
-                    let lk = self.clauses[cref.index()].lits[k];
-                    if self.value(lk) != LBool::False {
-                        let c = &mut self.clauses[cref.index()];
-                        c.lits.swap(1, k);
+                for k in 2..lits.len() {
+                    let lk = lits[k];
+                    if lit_value(&self.assigns, lk) != LBool::False {
+                        lits.swap(1, k);
                         self.watches[(!lk).index()].push(Watcher { cref, blocker: first });
                         ws.swap_remove(i);
                         continue 'watchers;
@@ -378,23 +381,25 @@ impl Solver {
     }
 
     fn cla_bump(&mut self, cref: ClauseRef) {
-        let c = &mut self.clauses[cref.index()];
-        if !c.learnt {
+        let m = self.db.meta_mut(self.db.id(cref));
+        if !m.learnt {
             return;
         }
-        c.activity += self.cla_inc;
-        if c.activity > RESCALE_LIMIT {
-            for cl in &mut self.clauses {
-                cl.activity *= 1e-100;
+        m.activity += self.cla_inc;
+        if m.activity > RESCALE_LIMIT {
+            for m in self.db.metas_mut() {
+                m.activity *= 1e-100;
             }
             self.cla_inc *= 1e-100;
         }
     }
 
-    /// First-UIP conflict analysis. Returns the learnt clause (asserting
-    /// literal first), the backtrack level and the clause's LBD.
-    fn analyze(&mut self, conflict: ClauseRef) -> (Vec<Lit>, u32, u32) {
-        let mut learnt: Vec<Lit> = vec![Lit::from_index(0)]; // slot for the UIP
+    /// First-UIP conflict analysis. Writes the learnt clause (asserting
+    /// literal first) into `learnt` and returns the backtrack level and the
+    /// clause's LBD.
+    fn analyze(&mut self, conflict: ClauseRef, learnt: &mut Vec<Lit>) -> (u32, u32) {
+        learnt.clear();
+        learnt.push(Lit::from_index(0)); // slot for the UIP
         let mut counter = 0usize;
         let mut p: Option<Lit> = None;
         let mut index = self.trail.len();
@@ -404,9 +409,9 @@ impl Solver {
         loop {
             self.cla_bump(cref);
             let start = usize::from(p.is_some());
-            let n = self.clauses[cref.index()].lits.len();
+            let n = self.db.lits(cref).len();
             for j in start..n {
-                let q = self.clauses[cref.index()].lits[j];
+                let q = self.db.lits(cref)[j];
                 let v = q.var();
                 if !self.seen[v.index()] && self.level[v.index()] > 0 {
                     self.seen[v.index()] = true;
@@ -441,7 +446,8 @@ impl Solver {
         // remaining literals are all already in the clause (seen) or fixed.
         // Keep the pre-minimization literals around: their `seen` flags must
         // all be cleared below even when the literal is dropped.
-        let to_clear: Vec<Lit> = learnt.clone();
+        self.to_clear.clear();
+        self.to_clear.extend_from_slice(learnt);
         let mut j = 1;
         for i in 1..learnt.len() {
             let l = learnt[i];
@@ -467,17 +473,22 @@ impl Solver {
         };
 
         // LBD = number of distinct decision levels in the clause.
-        let mut levels: Vec<u32> = learnt.iter().map(|l| self.level[l.var().index()]).collect();
-        levels.sort_unstable();
-        levels.dedup();
-        let lbd = levels.len() as u32;
+        self.lbd_stamp += 1;
+        let mut lbd = 0;
+        for l in learnt.iter() {
+            let lv = self.level[l.var().index()] as usize;
+            if self.level_stamp[lv] != self.lbd_stamp {
+                self.level_stamp[lv] = self.lbd_stamp;
+                lbd += 1;
+            }
+        }
 
         // Clear every seen flag set for this analysis (including literals
         // minimized away — leaking them would corrupt the next analysis).
-        for &l in &to_clear {
+        for &l in &self.to_clear {
             self.seen[l.var().index()] = false;
         }
-        (learnt, bt_level, lbd)
+        (bt_level, lbd)
     }
 
     /// Is `l` implied by the other literals of the learnt clause?
@@ -485,8 +496,7 @@ impl Solver {
         let Some(r) = self.reason[l.var().index()] else {
             return false;
         };
-        let c = &self.clauses[r.index()];
-        c.lits.iter().skip(1).all(|q| {
+        self.db.lits(r).iter().skip(1).all(|q| {
             let v = q.var();
             self.seen[v.index()] || self.level[v.index()] == 0
         })
@@ -529,18 +539,12 @@ impl Solver {
     /// false while an unwatched literal is true).
     fn reduce_db(&mut self) {
         debug_assert_eq!(self.decision_level(), 0);
-        // Level-0 reasons are never dereferenced again; drop them so no
-        // dangling ClauseRef survives deletion.
-        for i in 0..self.trail.len() {
-            let v = self.trail[i].var();
-            self.reason[v.index()] = None;
-        }
-        let mut cands: Vec<(usize, f64)> = self
-            .clauses
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| c.learnt && !c.deleted && c.lits.len() > 2 && c.lbd > 2)
-            .map(|(i, c)| (i, c.activity))
+        let mut cands: Vec<(usize, f64)> = (0..self.db.slots())
+            .filter(|&id| {
+                let m = self.db.meta(id);
+                m.learnt && !m.deleted && self.db.clause(id).len() > 2 && m.lbd > 2
+            })
+            .map(|id| (id, self.db.meta(id).activity))
             .collect();
         cands.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal));
         let to_delete = cands.len() / 2;
@@ -554,72 +558,62 @@ impl Solver {
         }
     }
 
-    fn delete_clause(&mut self, i: usize) {
-        let c = &mut self.clauses[i];
-        debug_assert!(!c.deleted);
-        if c.learnt {
+    fn delete_clause(&mut self, id: usize) {
+        if self.db.meta(id).learnt {
             self.num_learnts -= 1;
         }
-        c.deleted = true;
-        self.clause_bytes -= c.lits.len() * std::mem::size_of::<Lit>();
-        c.lits = Vec::new();
+        self.db.delete(id);
         self.stats.deleted_clauses += 1;
     }
 
     /// Strip level-0-false literals from every clause and delete clauses
     /// satisfied at level 0. Runs only at decision level 0.
     fn simplify_level0(&mut self) {
-        for i in 0..self.clauses.len() {
-            if self.clauses[i].deleted {
+        for id in 0..self.db.slots() {
+            if self.db.meta(id).deleted {
                 continue;
             }
-            let mut satisfied = false;
-            let mut kept: Vec<Lit> = Vec::with_capacity(self.clauses[i].lits.len());
-            for k in 0..self.clauses[i].lits.len() {
-                let l = self.clauses[i].lits[k];
-                match self.value(l) {
-                    LBool::True => {
-                        satisfied = true;
-                        break;
-                    }
-                    LBool::False => {}
-                    LBool::Undef => kept.push(l),
-                }
-            }
-            if satisfied {
-                self.delete_clause(i);
+            if self.db.clause(id).iter().any(|&l| self.value(l) == LBool::True) {
+                self.delete_clause(id);
                 continue;
             }
-            match kept.len() {
+            let assigns = &self.assigns;
+            match self.db.retain(id, |l| lit_value(assigns, l) == LBool::Undef) {
                 0 => {
                     self.ok = false;
                     return;
                 }
                 1 => {
-                    let unit = kept[0];
-                    self.delete_clause(i);
+                    let unit = self.db.clause(id)[0];
+                    self.delete_clause(id);
                     self.assign(unit, None);
                 }
-                _ => {
-                    let dropped = self.clauses[i].lits.len() - kept.len();
-                    self.clause_bytes -= dropped * std::mem::size_of::<Lit>();
-                    self.clauses[i].lits = kept;
-                }
+                _ => {}
             }
         }
     }
 
+    /// Compact the clause arena and rebuild every watch list from it.
+    /// Compaction moves clauses, so this runs only at decision level 0 and
+    /// first drops the level-0 reasons (they are never dereferenced again).
     fn rebuild_watches(&mut self) {
+        debug_assert_eq!(self.decision_level(), 0);
+        for i in 0..self.trail.len() {
+            let v = self.trail[i].var();
+            self.reason[v.index()] = None;
+        }
+        self.db.compact();
         for w in &mut self.watches {
             w.clear();
         }
-        for (i, c) in self.clauses.iter().enumerate() {
-            if c.deleted || c.lits.len() < 2 {
+        for id in 0..self.db.slots() {
+            let c = self.db.clause(id);
+            if c.len() < 2 {
                 continue;
             }
-            let cref = ClauseRef(i as u32);
-            self.watches[(!c.lits[0]).index()].push(Watcher { cref, blocker: c.lits[1] });
-            self.watches[(!c.lits[1]).index()].push(Watcher { cref, blocker: c.lits[0] });
+            let cref = self.db.meta(id).cref;
+            self.watches[(!c[0]).index()].push(Watcher { cref, blocker: c[1] });
+            self.watches[(!c[1]).index()].push(Watcher { cref, blocker: c[0] });
         }
     }
 
@@ -651,9 +645,7 @@ impl Solver {
                     }
                 }
                 Some(r) => {
-                    let n = self.clauses[r.index()].lits.len();
-                    for j in 1..n {
-                        let q = self.clauses[r.index()].lits[j];
+                    for &q in &self.db.lits(r)[1..] {
                         if self.level[q.var().index()] > 0 {
                             self.seen[q.var().index()] = true;
                         }
@@ -680,12 +672,6 @@ impl Solver {
         debug_assert_eq!(self.decision_level(), 0, "simplify runs between solves");
         if !self.ok {
             return;
-        }
-        // Level-0 reasons are never dereferenced again; drop them so no
-        // dangling ClauseRef survives deletion.
-        for i in 0..self.trail.len() {
-            let v = self.trail[i].var();
-            self.reason[v.index()] = None;
         }
         self.simplify_level0();
         if !self.ok {
@@ -719,7 +705,7 @@ impl Solver {
         self.interrupted = false;
         // A budget dead on arrival (tripped token, past deadline, original
         // clauses already over the memory cap) never enters the search loop.
-        if budget.interrupted() || budget.clause_bytes_exhausted(self.clause_bytes) {
+        if budget.interrupted() || budget.clause_bytes_exhausted(self.db.bytes()) {
             return SolveResult::Unknown;
         }
         // Restore any eliminated variables the assumptions mention, then run
@@ -796,10 +782,7 @@ impl Solver {
         loop {
             if let Some(confl) = self.propagate() {
                 debug_assert!(
-                    self.clauses[confl.index()]
-                        .lits
-                        .iter()
-                        .all(|&l| self.value(l) == LBool::False),
+                    self.db.lits(confl).iter().all(|&l| self.value(l) == LBool::False),
                     "conflict clause must be fully falsified"
                 );
                 self.stats.conflicts += 1;
@@ -808,19 +791,20 @@ impl Solver {
                     self.ok = false;
                     return Some(SolveResult::Unsat);
                 }
-                let (learnt, bt, lbd) = self.analyze(confl);
+                let mut learnt = std::mem::take(&mut self.learnt);
+                let (bt, lbd) = self.analyze(confl, &mut learnt);
                 self.cancel_until(bt);
                 if learnt.len() == 1 {
                     self.assign(learnt[0], None);
                 } else {
-                    let asserting = learnt[0];
-                    let cref = self.attach_new(learnt, true, lbd);
-                    self.assign(asserting, Some(cref));
+                    let cref = self.attach_new(&learnt, true, lbd);
+                    self.assign(learnt[0], Some(cref));
                 }
+                self.learnt = learnt;
                 self.var_inc /= VAR_DECAY;
                 self.cla_inc /= CLA_DECAY;
                 if budget.exhausted(self.stats.conflicts, self.stats.propagations)
-                    || budget.clause_bytes_exhausted(self.clause_bytes)
+                    || budget.clause_bytes_exhausted(self.db.bytes())
                 {
                     return Some(SolveResult::Unknown);
                 }
@@ -884,9 +868,10 @@ impl Solver {
         for &l in &self.trail[..level0] {
             clauses.push(vec![l]);
         }
-        for c in &self.clauses {
-            if !c.deleted && !c.learnt {
-                clauses.push(c.lits.clone());
+        for id in 0..self.db.slots() {
+            let m = self.db.meta(id);
+            if !m.deleted && !m.learnt {
+                clauses.push(self.db.clause(id).to_vec());
             }
         }
         crate::dimacs::Cnf { num_vars: self.num_vars(), clauses }
@@ -902,6 +887,13 @@ impl Solver {
     pub fn model_lit(&self, l: Lit) -> bool {
         self.model_value(l.var()) == l.is_positive()
     }
+}
+
+/// Value of `l` under the partial assignment `assigns`. A free function so
+/// `propagate` can read the assignment while it holds a clause mutably.
+#[inline]
+fn lit_value(assigns: &[LBool], l: Lit) -> LBool {
+    assigns[l.var().index()].xor(!l.is_positive())
 }
 
 /// Luby restart sequence: 1,1,2,1,1,2,4,1,1,2,1,1,2,4,8,…

@@ -27,10 +27,7 @@
 //!   can never stall a watchdog: an interrupted pass simply leaves the
 //!   remaining candidates untouched, which is always sound.
 
-use std::mem::size_of;
-
 use crate::budget::Budget;
-use crate::clause::Clause;
 use crate::failpoints;
 use crate::types::{LBool, Lit, Var};
 
@@ -129,7 +126,7 @@ pub(crate) struct Simp {
     /// the call has spent `preprocess_min_conflicts` conflicts.
     pub(crate) deferred: bool,
     ran_once: bool,
-    /// Clause-arena index reached by the last subsumption pass.
+    /// Clause id reached by the last subsumption pass.
     clause_cursor: usize,
 }
 
@@ -260,7 +257,7 @@ impl Solver {
         // proportional term stops an N-clause database from being re-scanned
         // for every few hundred clauses a session query appends.
         self.simp.deferred = false;
-        let threshold = self.simp.cfg.preprocess_min_new_clauses.max(self.clauses.len() / 8);
+        let threshold = self.simp.cfg.preprocess_min_new_clauses.max(self.db.slots() / 8);
         if self.simp.ran_once && self.simp.pending_new < threshold {
             return;
         }
@@ -282,7 +279,7 @@ impl Solver {
         self.preprocess(budget);
         self.simp.ran_once = true;
         self.simp.pending_new = 0;
-        self.simp.clause_cursor = self.clauses.len();
+        self.simp.clause_cursor = self.db.slots();
         for t in &mut self.simp.touched {
             *t = false;
         }
@@ -307,22 +304,23 @@ impl Solver {
 
         let first = !self.simp.ran_once;
         let mut occs: Vec<Vec<u32>> = vec![Vec::new(); self.num_vars()];
-        let mut sigs: Vec<u64> = vec![0; self.clauses.len()];
-        for (i, c) in self.clauses.iter().enumerate() {
-            if c.deleted || c.learnt {
+        let mut sigs: Vec<u64> = vec![0; self.db.slots()];
+        for (i, sig) in sigs.iter_mut().enumerate() {
+            let m = self.db.meta(i);
+            if m.deleted || m.learnt {
                 continue;
             }
-            sigs[i] = clause_sig(&c.lits);
-            for &l in &c.lits {
+            let c = self.db.clause(i);
+            *sig = clause_sig(c);
+            for &l in c {
                 occs[l.var().index()].push(i as u32);
             }
         }
         if self.simp.cfg.subsumption {
-            let mut queue: Vec<u32> = (0..self.clauses.len())
+            let mut queue: Vec<u32> = (0..self.db.slots())
                 .filter(|&i| {
-                    (first || i >= self.simp.clause_cursor)
-                        && !self.clauses[i].deleted
-                        && !self.clauses[i].learnt
+                    let m = self.db.meta(i);
+                    (first || i >= self.simp.clause_cursor) && !m.deleted && !m.learnt
                 })
                 .map(|i| i as u32)
                 .collect();
@@ -367,10 +365,10 @@ impl Solver {
             }
             let ci = queue[qi] as usize;
             qi += 1;
-            if self.clauses[ci].deleted {
+            if self.db.meta(ci).deleted {
                 continue;
             }
-            let lits = self.clauses[ci].lits.clone();
+            let lits = self.db.clause(ci).to_vec();
             let Some(best) = lits.iter().map(|l| l.var()).min_by_key(|v| occs[v.index()].len())
             else {
                 continue;
@@ -378,15 +376,15 @@ impl Solver {
             let csig = clause_sig(&lits);
             for &k in &occs[best.index()] {
                 let di = k as usize;
-                if di == ci || self.clauses[di].deleted || self.clauses[ci].deleted {
+                if di == ci || self.db.meta(di).deleted || self.db.meta(ci).deleted {
                     continue;
                 }
-                if self.clauses[di].lits.len() < lits.len() || csig & !sigs[di] != 0 {
+                if self.db.clause(di).len() < lits.len() || csig & !sigs[di] != 0 {
                     continue;
                 }
                 // Occurrence lists are hints (strengthening leaves stale
                 // entries); the containment check tolerates them.
-                match subsume_check(&lits, &self.clauses[di].lits) {
+                match subsume_check(&lits, self.db.clause(di)) {
                     Sub::No => {}
                     Sub::Subsumes => {
                         self.delete_clause(di);
@@ -397,7 +395,7 @@ impl Solver {
                         if !self.ok {
                             return;
                         }
-                        if !self.clauses[di].deleted {
+                        if !self.db.meta(di).deleted {
                             queue.push(di as u32);
                         }
                     }
@@ -409,18 +407,16 @@ impl Solver {
     /// Remove one literal from a clause (self-subsuming resolution step).
     /// Runs with watches down; a unit result is committed to the trail.
     fn strengthen_clause(&mut self, di: usize, drop: Lit, sigs: &mut [u64]) {
-        let c = &mut self.clauses[di];
-        let Some(pos) = c.lits.iter().position(|&l| l == drop) else {
+        if !self.db.clause(di).contains(&drop) {
             return;
-        };
-        c.lits.remove(pos);
-        self.clause_bytes -= size_of::<Lit>();
-        sigs[di] = clause_sig(&c.lits);
+        }
+        let len = self.db.retain(di, |l| l != drop);
+        sigs[di] = clause_sig(self.db.clause(di));
         self.stats.clauses_subsumed += 1;
-        match self.clauses[di].lits.len() {
+        match len {
             0 => self.ok = false,
             1 => {
-                let unit = self.clauses[di].lits[0];
+                let unit = self.db.clause(di)[0];
                 self.delete_clause(di);
                 self.preprocess_unit(unit);
             }
@@ -462,7 +458,7 @@ impl Solver {
             {
                 return;
             }
-            if budget.clause_bytes_exhausted(self.clause_bytes) {
+            if budget.clause_bytes_exhausted(self.db.bytes()) {
                 return;
             }
             let v = Var(vi);
@@ -474,13 +470,11 @@ impl Solver {
             let mut pos: Vec<u32> = Vec::new();
             let mut neg: Vec<u32> = Vec::new();
             for &ci in &occs[v.index()] {
-                let c = &self.clauses[ci as usize];
-                if c.deleted {
-                    continue;
-                }
-                if c.lits.contains(&v.pos()) {
+                // A deleted clause reads as empty: no polarity matches.
+                let c = self.db.clause(ci as usize);
+                if c.contains(&v.pos()) {
                     pos.push(ci);
-                } else if c.lits.contains(&v.neg()) {
+                } else if c.contains(&v.neg()) {
                     neg.push(ci);
                 }
             }
@@ -496,8 +490,8 @@ impl Solver {
             let mut within_bounds = true;
             'gen: for &pi in &pos {
                 for &ni in &neg {
-                    let a = &self.clauses[pi as usize].lits;
-                    let b = &self.clauses[ni as usize].lits;
+                    let a = self.db.clause(pi as usize);
+                    let b = self.db.clause(ni as usize);
                     if let Some(r) = resolve_on(a, b, v) {
                         if r.len() > self.simp.cfg.bve_max_resolvent_len
                             || resolvents.len() == limit
@@ -518,7 +512,7 @@ impl Solver {
             self.simp.active_elims += 1;
             let mut stored: Vec<Vec<Lit>> = Vec::with_capacity(total);
             for &ci in pos.iter().chain(neg.iter()) {
-                stored.push(self.clauses[ci as usize].lits.clone());
+                stored.push(self.db.clause(ci as usize).to_vec());
                 self.delete_clause(ci as usize);
             }
             self.simp.elim_index[v.index()] = self.simp.elim_stack.len() as u32;
@@ -536,15 +530,13 @@ impl Solver {
                         }
                     }
                     _ => {
-                        let idx = self.clauses.len() as u32;
-                        self.clause_bytes += r.len() * size_of::<Lit>();
+                        let idx = self.db.push(&r, false, 0) as u32;
                         sigs.push(clause_sig(&r));
                         for &l in &r {
                             occs[l.var().index()].push(idx);
                             // Neighbors became cheaper; revisit next pass.
                             self.simp.touched[l.var().index()] = true;
                         }
-                        self.clauses.push(Clause::new(r, false, 0));
                     }
                 }
             }
@@ -559,12 +551,12 @@ impl Solver {
         // stored: they are implied, and the elimination stack must contain
         // exactly the defining (original) occurrences.
         if self.simp.active_elims > 0 {
-            for i in 0..self.clauses.len() {
-                let c = &self.clauses[i];
-                if c.deleted || !c.learnt {
+            for i in 0..self.db.slots() {
+                let m = self.db.meta(i);
+                if m.deleted || !m.learnt {
                     continue;
                 }
-                if c.lits.iter().any(|l| self.simp.eliminated[l.var().index()]) {
+                if self.db.clause(i).iter().any(|l| self.simp.eliminated[l.var().index()]) {
                     self.delete_clause(i);
                 }
             }
