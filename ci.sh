@@ -22,6 +22,9 @@ run_suite() {
 run_suite "cargo build --release" cargo build --workspace --release
 run_suite "cargo test" cargo test --workspace -q
 run_suite "cargo clippy" cargo clippy --workspace --all-targets -- -D warnings
+# Rustdoc warnings fail the build, so a doc link to a deleted or private
+# item cannot go stale silently.
+run_suite "cargo doc" env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 run_suite "fault-injection smoke (sequential)" \
   cargo run --release -p pug-bench --bin repro-tables -- --fault-injection --timeout 20
 # Perf smoke: runs multi-obligation equivalence rows through the

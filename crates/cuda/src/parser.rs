@@ -1,14 +1,27 @@
 //! Recursive-descent parser with full C expression precedence.
+//!
+//! Nesting is capped at [`MAX_NESTING`] levels, so neither the parser's own
+//! recursion nor the type checker's and the IR passes' recursion over the
+//! tree can exhaust a thread's stack on hostile input.
 
 use crate::ast::*;
 use crate::error::FrontendError;
 use crate::lexer::lex;
 use crate::token::{Span, Tok, Token};
 
+/// Deepest nesting level the parser accepts.
+///
+/// A level is a statement, an expression node, or a grouping that makes no
+/// node of its own (a parenthesized expression, a unary `+`, a cast, a bare
+/// `{ }` block). A kernel's top-level statements sit at level 1 and every
+/// child one level below its parent, so statements and expressions count
+/// together. A left-associative chain such as `a + b + c` is one level per
+/// operator: a loop builds it, but every later pass recurses down it.
+pub const MAX_NESTING: usize = 256;
+
 /// Parse a source file containing one or more kernels.
 pub fn parse_program(src: &str) -> Result<Vec<Kernel>, FrontendError> {
-    let tokens = lex(src)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser::new(lex(src)?);
     let mut kernels = Vec::new();
     while p.peek() != &Tok::Eof {
         kernels.push(p.kernel()?);
@@ -33,8 +46,7 @@ pub fn parse_kernel(src: &str) -> Result<Kernel, FrontendError> {
 
 /// Parse a standalone expression (used by the assertion-language API).
 pub fn parse_expr(src: &str) -> Result<Expr, FrontendError> {
-    let tokens = lex(src)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser::new(lex(src)?);
     let e = p.expr()?;
     p.expect(Tok::Eof)?;
     Ok(e)
@@ -43,9 +55,52 @@ pub fn parse_expr(src: &str) -> Result<Expr, FrontendError> {
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// Nesting level of the node being parsed.
+    level: usize,
+    /// Deepest level the current [`Parser::measured`] parse has reached.
+    deepest: usize,
 }
 
 impl Parser {
+    fn new(tokens: Vec<Token>) -> Parser {
+        Parser { tokens, pos: 0, level: 1, deepest: 1 }
+    }
+
+    /// Note that the tree reaches `level`, failing past [`MAX_NESTING`].
+    fn reach(&mut self, level: usize, span: Span) -> Result<(), FrontendError> {
+        if level > MAX_NESTING {
+            return Err(FrontendError::parse(
+                span,
+                format!("nesting deeper than {MAX_NESTING} levels"),
+            ));
+        }
+        self.deepest = self.deepest.max(level);
+        Ok(())
+    }
+
+    /// Parse with `f` one level down.
+    fn deeper<T>(
+        &mut self,
+        f: impl FnOnce(&mut Self) -> Result<T, FrontendError>,
+    ) -> Result<T, FrontendError> {
+        self.level += 1;
+        let parsed = f(self);
+        self.level -= 1;
+        parsed
+    }
+
+    /// Parse with `f` at this level, and say how deep the result reaches.
+    fn measured<T>(
+        &mut self,
+        f: impl FnOnce(&mut Self) -> Result<T, FrontendError>,
+    ) -> Result<(T, usize), FrontendError> {
+        let outer = std::mem::replace(&mut self.deepest, self.level);
+        let parsed = f(self)?;
+        let reached = self.deepest;
+        self.deepest = outer.max(reached);
+        Ok((parsed, reached))
+    }
+
     fn peek(&self) -> &Tok {
         &self.tokens[self.pos].tok
     }
@@ -216,6 +271,10 @@ impl Parser {
     /// Parse a single statement; it may expand to several (e.g. `int i, j;`).
     fn stmt_into(&mut self, out: &mut Vec<Stmt>) -> Result<(), FrontendError> {
         let span = self.span();
+        self.reach(self.level, span)?;
+        // The statement's children sit one level down. An error ends the
+        // whole parse, so the early returns below need not restore it.
+        self.level += 1;
         match self.peek().clone() {
             Tok::Semi => {
                 self.bump();
@@ -310,6 +369,7 @@ impl Parser {
                 out.push(s);
             }
         }
+        self.level -= 1;
         Ok(())
     }
 
@@ -403,20 +463,24 @@ impl Parser {
 
     /// Lowest precedence: implication (right-associative, assertion lang).
     fn expr(&mut self) -> Result<Expr, FrontendError> {
-        let lhs = self.ternary()?;
+        let (lhs, reached) = self.measured(Self::ternary)?;
+        let span = self.span();
         if self.eat(Tok::Implies) {
-            let rhs = self.expr()?;
+            self.reach(reached + 1, span)?;
+            let rhs = self.deeper(Self::expr)?;
             return Ok(Expr::bin(BinOp::Imp, lhs, rhs));
         }
         Ok(lhs)
     }
 
     fn ternary(&mut self) -> Result<Expr, FrontendError> {
-        let cond = self.logic_or()?;
+        let (cond, reached) = self.measured(|p| p.binary(0))?;
+        let span = self.span();
         if self.eat(Tok::Question) {
-            let then = self.expr()?;
+            self.reach(reached + 1, span)?;
+            let then = self.deeper(Self::expr)?;
             self.expect(Tok::Colon)?;
-            let els = self.ternary()?;
+            let els = self.deeper(Self::ternary)?;
             return Ok(Expr::Ternary {
                 cond: Box::new(cond),
                 then: Box::new(then),
@@ -426,150 +490,51 @@ impl Parser {
         Ok(cond)
     }
 
-    fn logic_or(&mut self) -> Result<Expr, FrontendError> {
-        let mut lhs = self.logic_and()?;
-        while self.eat(Tok::OrOr) {
-            let rhs = self.logic_and()?;
-            lhs = Expr::bin(BinOp::Or, lhs, rhs);
-        }
-        Ok(lhs)
-    }
-
-    fn logic_and(&mut self) -> Result<Expr, FrontendError> {
-        let mut lhs = self.bit_or()?;
-        while self.eat(Tok::AndAnd) {
-            let rhs = self.bit_or()?;
-            lhs = Expr::bin(BinOp::And, lhs, rhs);
-        }
-        Ok(lhs)
-    }
-
-    fn bit_or(&mut self) -> Result<Expr, FrontendError> {
-        let mut lhs = self.bit_xor()?;
-        while self.eat(Tok::Pipe) {
-            let rhs = self.bit_xor()?;
-            lhs = Expr::bin(BinOp::BitOr, lhs, rhs);
-        }
-        Ok(lhs)
-    }
-
-    fn bit_xor(&mut self) -> Result<Expr, FrontendError> {
-        let mut lhs = self.bit_and()?;
-        while self.eat(Tok::Caret) {
-            let rhs = self.bit_and()?;
-            lhs = Expr::bin(BinOp::BitXor, lhs, rhs);
-        }
-        Ok(lhs)
-    }
-
-    fn bit_and(&mut self) -> Result<Expr, FrontendError> {
-        let mut lhs = self.equality()?;
-        while self.eat(Tok::Amp) {
-            let rhs = self.equality()?;
-            lhs = Expr::bin(BinOp::BitAnd, lhs, rhs);
-        }
-        Ok(lhs)
-    }
-
-    fn equality(&mut self) -> Result<Expr, FrontendError> {
-        let mut lhs = self.relational()?;
-        loop {
-            let op = match self.peek() {
-                Tok::EqEq => BinOp::Eq,
-                Tok::NotEq => BinOp::Ne,
-                _ => break,
-            };
+    /// Left-associative binary operators of precedence `prec` and tighter:
+    /// `operand (op operand)*`. Each operator pushes everything parsed so
+    /// far one level down, so the chain's depth is checked as it grows.
+    fn binary(&mut self, prec: usize) -> Result<Expr, FrontendError> {
+        let operand = |p: &mut Self| {
+            if prec + 1 == BINARY_PRECEDENCES {
+                p.unary()
+            } else {
+                p.binary(prec + 1)
+            }
+        };
+        let (mut lhs, mut deepest) = self.measured(operand)?;
+        while let Some(op) = binary_op(prec, self.peek()) {
+            let span = self.span();
             self.bump();
-            let rhs = self.relational()?;
-            lhs = Expr::bin(op, lhs, rhs);
-        }
-        Ok(lhs)
-    }
-
-    fn relational(&mut self) -> Result<Expr, FrontendError> {
-        let mut lhs = self.shift()?;
-        loop {
-            let op = match self.peek() {
-                Tok::Lt => BinOp::Lt,
-                Tok::Le => BinOp::Le,
-                Tok::Gt => BinOp::Gt,
-                Tok::Ge => BinOp::Ge,
-                _ => break,
-            };
-            self.bump();
-            let rhs = self.shift()?;
-            lhs = Expr::bin(op, lhs, rhs);
-        }
-        Ok(lhs)
-    }
-
-    fn shift(&mut self) -> Result<Expr, FrontendError> {
-        let mut lhs = self.additive()?;
-        loop {
-            let op = match self.peek() {
-                Tok::Shl => BinOp::Shl,
-                Tok::Shr => BinOp::Shr,
-                _ => break,
-            };
-            self.bump();
-            let rhs = self.additive()?;
-            lhs = Expr::bin(op, lhs, rhs);
-        }
-        Ok(lhs)
-    }
-
-    fn additive(&mut self) -> Result<Expr, FrontendError> {
-        let mut lhs = self.multiplicative()?;
-        loop {
-            let op = match self.peek() {
-                Tok::Plus => BinOp::Add,
-                Tok::Minus => BinOp::Sub,
-                _ => break,
-            };
-            self.bump();
-            let rhs = self.multiplicative()?;
-            lhs = Expr::bin(op, lhs, rhs);
-        }
-        Ok(lhs)
-    }
-
-    fn multiplicative(&mut self) -> Result<Expr, FrontendError> {
-        let mut lhs = self.unary()?;
-        loop {
-            let op = match self.peek() {
-                Tok::Star => BinOp::Mul,
-                Tok::Slash => BinOp::Div,
-                Tok::Percent => BinOp::Rem,
-                _ => break,
-            };
-            self.bump();
-            let rhs = self.unary()?;
+            let (rhs, reached) = self.measured(operand)?;
+            deepest = deepest.max(reached) + 1;
+            self.reach(deepest, span)?;
             lhs = Expr::bin(op, lhs, rhs);
         }
         Ok(lhs)
     }
 
     fn unary(&mut self) -> Result<Expr, FrontendError> {
+        self.reach(self.level, self.span())?;
         let op = match self.peek() {
             Tok::Minus => Some(UnOp::Neg),
             Tok::Bang => Some(UnOp::Not),
             Tok::Tilde => Some(UnOp::BitNot),
             Tok::Plus => {
                 self.bump();
-                return self.unary();
+                return self.deeper(Self::unary);
             }
             Tok::LParen if self.is_cast() => {
                 // (int) e / (unsigned) e — casts are width-preserving no-ops
                 self.bump();
                 let _ = self.scalar_type()?;
                 self.expect(Tok::RParen)?;
-                return self.unary();
+                return self.deeper(Self::unary);
             }
             _ => None,
         };
         if let Some(op) = op {
             self.bump();
-            let arg = self.unary()?;
+            let arg = self.deeper(Self::unary)?;
             return Ok(Expr::Unary { op, arg: Box::new(arg) });
         }
         self.postfix()
@@ -607,7 +572,7 @@ impl Parser {
             }
             Tok::LParen => {
                 self.bump();
-                let e = self.expr()?;
+                let e = self.deeper(Self::expr)?;
                 self.expect(Tok::RParen)?;
                 Ok(e)
             }
@@ -642,7 +607,7 @@ impl Parser {
                     let mut args = Vec::new();
                     if self.peek() != &Tok::RParen {
                         loop {
-                            args.push(self.expr()?);
+                            args.push(self.deeper(Self::expr)?);
                             if !self.eat(Tok::Comma) {
                                 break;
                             }
@@ -655,7 +620,7 @@ impl Parser {
                 if self.peek() == &Tok::LBracket {
                     let mut indices = Vec::new();
                     while self.eat(Tok::LBracket) {
-                        indices.push(self.expr()?);
+                        indices.push(self.deeper(Self::expr)?);
                         self.expect(Tok::RBracket)?;
                     }
                     return Ok(Expr::Index { base: name, indices });
@@ -665,6 +630,35 @@ impl Parser {
             other => Err(FrontendError::parse(span, format!("unexpected token {other} in expression"))),
         }
     }
+}
+
+/// Precedence levels of the left-associative binary operators.
+const BINARY_PRECEDENCES: usize = 10;
+
+/// The operator `t` denotes at precedence `prec`, loosest (`||`) first.
+fn binary_op(prec: usize, t: &Tok) -> Option<BinOp> {
+    let op = match (prec, t) {
+        (0, Tok::OrOr) => BinOp::Or,
+        (1, Tok::AndAnd) => BinOp::And,
+        (2, Tok::Pipe) => BinOp::BitOr,
+        (3, Tok::Caret) => BinOp::BitXor,
+        (4, Tok::Amp) => BinOp::BitAnd,
+        (5, Tok::EqEq) => BinOp::Eq,
+        (5, Tok::NotEq) => BinOp::Ne,
+        (6, Tok::Lt) => BinOp::Lt,
+        (6, Tok::Le) => BinOp::Le,
+        (6, Tok::Gt) => BinOp::Gt,
+        (6, Tok::Ge) => BinOp::Ge,
+        (7, Tok::Shl) => BinOp::Shl,
+        (7, Tok::Shr) => BinOp::Shr,
+        (8, Tok::Plus) => BinOp::Add,
+        (8, Tok::Minus) => BinOp::Sub,
+        (9, Tok::Star) => BinOp::Mul,
+        (9, Tok::Slash) => BinOp::Div,
+        (9, Tok::Percent) => BinOp::Rem,
+        _ => return None,
+    };
+    Some(op)
 }
 
 fn incdec(lhs: LValue, inc: bool, span: Span) -> Stmt {

@@ -73,10 +73,21 @@ const CASES: &[(&str, &str)] = &[
     ("type_scalar_indexed", "void k(int *d, int n) {\n  d[0] = n[1];\n}"),
 ];
 
+/// [`CASES`] plus the generated ones: one level past the parser's nesting
+/// cap, 255 paren groups under `d[0] =` (level 2) put the `1` at level 257.
+fn cases() -> Vec<(&'static str, String)> {
+    let mut cases: Vec<(&str, String)> = CASES.iter().map(|&(n, s)| (n, s.to_string())).collect();
+    let parens = 255;
+    let (open, close) = ("(".repeat(parens), ")".repeat(parens));
+    let deep = format!("void k(int *d) {{\n  d[0] = {open}1{close};\n}}");
+    cases.push(("parse_nesting_too_deep", deep));
+    cases
+}
+
 #[test]
 fn diagnostics_match_golden_files() {
     let failures: Vec<String> =
-        CASES.iter().filter_map(|(name, src)| check_golden(name, src).err()).collect();
+        cases().iter().filter_map(|(name, src)| check_golden(name, src).err()).collect();
     assert!(failures.is_empty(), "{} golden mismatches:\n{}", failures.len(), failures.join("\n"));
 }
 
@@ -85,8 +96,9 @@ fn diagnostics_match_golden_files() {
 /// by someone committing it past both this test and review.
 #[test]
 fn every_case_produces_a_diagnostic() {
-    for (name, src) in CASES {
-        assert_ne!(diagnose(src), "no diagnostic (accepted)", "case {name} no longer errors:\n{src}");
+    for (name, src) in cases() {
+        let diagnostic = diagnose(&src);
+        assert_ne!(diagnostic, "no diagnostic (accepted)", "case {name} no longer errors:\n{src}");
     }
 }
 
@@ -98,7 +110,7 @@ fn no_orphaned_golden_files() {
         let path = entry.unwrap().path();
         let stem = path.file_stem().unwrap().to_string_lossy().into_owned();
         assert!(
-            CASES.iter().any(|(name, _)| *name == stem),
+            cases().iter().any(|(name, _)| *name == stem),
             "orphaned golden file {} — delete it or re-add its case",
             path.display()
         );

@@ -13,7 +13,7 @@
 //! * **Scan**, **Scalar product**, **Matrix multiply**, **Bitonic sort**,
 //!   **Vector add** — the remaining kernels named by the paper (GKLEE's
 //!   BitonicSort blow-up example, the ACCN power-of-two assumption of the
-//!   scalar-product kernel, the SDK matrix-multiply of [8]).
+//!   scalar-product kernel, the SDK matrix-multiply of \[8\]).
 //!
 //! Each kernel is a `&str` of CUDA C source accepted by `pug-cuda`.
 //! `requires(...)` lines encode the validity assumptions the paper

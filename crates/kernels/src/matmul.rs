@@ -1,5 +1,5 @@
 //! Matrix multiplication — the CUDA Programming Guide kernel the paper
-//! cites for arbitrarily-sized blocks ([8], §IV-E "Symmetry Reduction").
+//! cites for arbitrarily-sized blocks (\[8\], §IV-E "Symmetry Reduction").
 
 /// Naive matmul: every thread computes one output element from global
 /// memory. `wA` is the shared inner dimension (A is hA×wA, B is wA×wB).

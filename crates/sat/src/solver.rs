@@ -2,6 +2,11 @@
 //! basic clause minimization, VSIDS branching with phase saving, Luby
 //! restarts and activity-driven learnt-clause deletion.
 //!
+//! Clauses live in one flat arena (the crate-private `clause` module): a
+//! watcher leads propagation to a single contiguous block holding the
+//! clause's length, id and literals. The arena is compacted, in clause
+//! order, wherever the watch lists are rebuilt at decision level 0.
+//!
 //! The design follows MiniSat's architecture; everything is implemented from
 //! scratch here because the verifier must run without an external solver.
 
@@ -27,7 +32,7 @@ pub enum SolveResult {
 }
 
 /// Search statistics, cumulative over the solver's lifetime.
-#[derive(Clone, Copy, Default, Debug)]
+#[derive(Clone, Copy, Default, Debug, PartialEq, Eq)]
 pub struct Stats {
     pub conflicts: u64,
     pub propagations: u64,
@@ -190,6 +195,11 @@ impl Solver {
     /// Number of non-deleted clauses (original + learnt).
     pub fn num_clauses(&self) -> usize {
         self.db.live()
+    }
+
+    /// The non-deleted clauses (original + learnt), in storage order.
+    pub fn clauses(&self) -> impl Iterator<Item = &[Lit]> {
+        (0..self.db.slots()).filter(|&id| !self.db.meta(id).deleted).map(|id| self.db.clause(id))
     }
 
     /// Cumulative statistics.

@@ -7,9 +7,10 @@
 //! * **Model reconstruction.** Eliminating a variable by resolution removes
 //!   it from the search, but bug-hunt witnesses must still assign it. Every
 //!   elimination pushes the removed clauses onto an elimination stack;
-//!   [`Solver::extend_model`] replays the stack in reverse after a `Sat`
-//!   answer and picks the unique polarity that satisfies the removed
-//!   clauses (Davis–Putnam reconstruction).
+//!   after a `Sat` answer the solver replays the stack in reverse and
+//!   picks the unique polarity that satisfies the removed clauses
+//!   (Davis–Putnam reconstruction), so [`Solver::model_value`] covers
+//!   eliminated variables too.
 //!
 //! * **Restore on reuse.** BVE is only equivalence-preserving while no new
 //!   constraint mentions an eliminated variable. Incremental clients add
