@@ -62,7 +62,8 @@ impl ClauseDb {
     /// Store a clause (not yet watched); returns its id.
     pub fn push(&mut self, lits: &[Lit], learnt: bool, lbd: u32) -> usize {
         let id = self.meta.len();
-        let cref = ClauseRef(self.arena.len() as u32);
+        let cref =
+            ClauseRef(u32::try_from(self.arena.len()).expect("clause arena under 2^32 words"));
         self.arena.push(Lit::from_index(lits.len()));
         self.arena.push(Lit::from_index(id));
         self.arena.extend_from_slice(lits);

@@ -160,27 +160,16 @@ fn prop_matches_brute_force() {
 /// gate-level circuit: a variable is free (a circuit input, or a query
 /// guard) or an AND/XOR gate of earlier literals, so enumerating the inputs
 /// decides any clause set over the circuit.
+#[derive(Default)]
 struct Twin {
     solvers: [Solver; 2],
     cnf: Cnf,
     /// Per variable: `Some((xor, a, b))` for a gate, `None` when free.
     gates: Vec<Option<(bool, Lit, Lit)>>,
-    inputs: Vec<Var>,
     guards: Vec<Var>,
 }
 
 impl Twin {
-    fn new() -> Twin {
-        let cnf = Cnf { num_vars: 0, clauses: Vec::new() };
-        Twin {
-            solvers: [Solver::new(), Solver::new()],
-            cnf,
-            gates: Vec::new(),
-            inputs: Vec::new(),
-            guards: Vec::new(),
-        }
-    }
-
     fn var(&mut self, gate: Option<(bool, Lit, Lit)>) -> Var {
         let [v, w] = self.solvers.each_mut().map(Solver::new_var);
         assert_eq!(v, w);
@@ -194,12 +183,6 @@ impl Twin {
             s.add_clause(clause);
         }
         self.cnf.clauses.push(clause.to_vec());
-    }
-
-    fn input(&mut self) -> Lit {
-        let v = self.var(None);
-        self.inputs.push(v);
-        v.pos()
     }
 
     fn and(&mut self, a: Lit, b: Lit) -> Lit {
@@ -281,11 +264,16 @@ impl Twin {
     }
 
     /// Is the recorded CNF satisfiable with `active` true and every other
-    /// guard false? Enumerates the inputs 64 assignments per word.
+    /// guard false? Enumerates the inputs (the free variables that are not
+    /// guards) 64 assignments per word.
     fn brute_force(&self, active: Var) -> bool {
-        let words = (1usize << self.inputs.len()).div_ceil(64);
+        let inputs: Vec<Var> = (0..self.gates.len() as u32)
+            .map(Var)
+            .filter(|v| self.gates[v.index()].is_none() && !self.guards.contains(v))
+            .collect();
+        let words = (1usize << inputs.len()).div_ceil(64);
         let mut val = vec![Vec::new(); self.gates.len()];
-        for (j, &x) in self.inputs.iter().enumerate() {
+        for (j, x) in inputs.iter().enumerate() {
             val[x.index()] = (0..words)
                 .map(|w| (0..64).fold(0u64, |acc, t| acc | ((((w * 64 + t) >> j) & 1) as u64) << t))
                 .collect();
@@ -330,9 +318,9 @@ impl Twin {
 fn guarded_queries_match_enumeration_across_compactions() {
     const BITS: usize = 8;
     let mut rng = TestRng::seed_from_u64(0x6a7d);
-    let mut t = Twin::new();
-    let a: Vec<Lit> = (0..BITS).map(|_| t.input()).collect();
-    let b: Vec<Lit> = (0..BITS).map(|_| t.input()).collect();
+    let mut t = Twin::default();
+    let a: Vec<Lit> = (0..BITS).map(|_| t.var(None).pos()).collect();
+    let b: Vec<Lit> = (0..BITS).map(|_| t.var(None).pos()).collect();
     let ab = t.mul(&a, &b);
     let ba = t.mul(&b, &a);
 
@@ -340,6 +328,15 @@ fn guarded_queries_match_enumeration_across_compactions() {
     t.query(&[differ], "a*b != b*a");
 
     let inputs: Vec<Lit> = a.iter().chain(&b).copied().collect();
+    // A random literal of `lits`, with a random sign.
+    let pick = |rng: &mut TestRng, lits: &[Lit]| {
+        let l = lits[rng.gen_range(0..lits.len())];
+        if rng.gen_bool(0.5) {
+            l
+        } else {
+            !l
+        }
+    };
     for q in 0..12 {
         match q % 3 {
             // The product equals a random constant.
@@ -353,23 +350,15 @@ fn guarded_queries_match_enumeration_across_compactions() {
             // Random clauses over the inputs.
             1 => {
                 let clauses: Vec<Vec<Lit>> = (0..rng.gen_range(4..=24))
-                    .map(|_| {
-                        (0..3)
-                            .map(|_| {
-                                let l = inputs[rng.gen_range(0..inputs.len())];
-                                if rng.gen_bool(0.5) { l } else { !l }
-                            })
-                            .collect()
-                    })
+                    .map(|_| (0..3).map(|_| pick(&mut rng, &inputs)).collect())
                     .collect();
                 t.query(&clauses, &format!("query {q}: random clauses"));
             }
             // A permanent fact about one input bit, then a product bit.
             _ => {
-                let l = inputs[rng.gen_range(0..inputs.len())];
-                t.add(&[if rng.gen_bool(0.5) { l } else { !l }]);
-                let p = ab[rng.gen_range(0..BITS)];
-                let bit = if rng.gen_bool(0.5) { p } else { !p };
+                let fact = pick(&mut rng, &inputs);
+                t.add(&[fact]);
+                let bit = pick(&mut rng, &ab);
                 t.query(&[vec![bit]], &format!("query {q}: product bit"));
             }
         }
