@@ -27,20 +27,6 @@ run_suite "cargo clippy" cargo clippy --workspace --all-targets -- -D warnings
 run_suite "cargo doc" env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 run_suite "fault-injection smoke (sequential)" \
   cargo run --release -p pug-bench --bin repro-tables -- --fault-injection --timeout 20
-# Perf smoke: runs multi-obligation equivalence rows through the
-# incremental backend and the one-shot reference backend
-# (`Ablation::OneShot`), exits non-zero if any verdict diverges between
-# the two, and gates each row's incremental wall time
-# against the committed baseline, which it reads with the shared
-# `pug_obs::Json` codec (>10% + 50 ms slack counts as a regression; rows
-# absent from the quick grid are reported, not gated). Also runs the
-# rung-improvement grid and exits non-zero unless at least one row's
-# answering rung gets strictly stronger with the generalized quantifier
-# elimination on, verdicts agreeing.
-run_suite "perf smoke + regression gate" \
-  cargo run --release -p pug-bench --bin repro-tables -- \
-    --bench-json /tmp/bench_pr10_ci.json --quick --timeout 60 \
-    --baseline BENCH_pr10.json
 # Generalized-qelim smoke: the differential suite proving elimination-on
 # and elimination-off report identical verdicts across the corpus and a
 # fuzzed grid, and that the symbolic-stride pair is answered by the fully
@@ -79,6 +65,22 @@ run_suite "serve smoke" \
 # tests run every workload end to end in quick mode against the daemon.
 run_suite "pugbench self-test" \
   cargo test --release --manifest-path benchmark/Cargo.toml
+# Perf smoke, run last: it gates wall time against a recorded baseline,
+# so a slower machine can fail it, and under `set -e` a failure here
+# skips nothing else. It runs multi-obligation equivalence rows through the
+# incremental backend and the one-shot reference backend
+# (`Ablation::OneShot`), exits non-zero if any verdict diverges between
+# the two, and gates each row's incremental wall time
+# against the committed baseline, which it reads with the shared
+# `pug_obs::Json` codec (>10% + 50 ms slack counts as a regression; rows
+# absent from the quick grid are reported, not gated). Also runs the
+# rung-improvement grid and exits non-zero unless at least one row's
+# answering rung gets strictly stronger with the generalized quantifier
+# elimination on, verdicts agreeing.
+run_suite "perf smoke + regression gate" \
+  cargo run --release -p pug-bench --bin repro-tables -- \
+    --bench-json /tmp/bench_pr10_ci.json --quick --timeout 60 \
+    --baseline BENCH_pr10.json
 
 echo
 echo "== wall-clock summary"

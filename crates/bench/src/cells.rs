@@ -1,13 +1,13 @@
 //! Individual table cells: one equivalence check each, with the paper's
-//! outcome notation.
+//! outcome notation. A cell's wall-clock limit is its check's
+//! [`CheckOptions::timeout`], which the check turns into a deadline on its
+//! cancellation token.
 
 use pugpara::equiv::{check_equivalence_nonparam, check_equivalence_param, CheckOptions};
 use pugpara::failpoints::{self, Fault};
-use pugpara::runner::{panic_message, Watchdog};
+use pugpara::runner::panic_message;
 use pugpara::{KernelUnit, Verdict};
 use pug_ir::{Extent, GpuConfig};
-use pug_smt::CancelToken;
-use std::cell::RefCell;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Duration;
@@ -52,37 +52,16 @@ impl fmt::Display for Outcome {
     }
 }
 
-thread_local! {
-    /// Cancel token of the cell currently inside [`run_cell`], picked up by
-    /// [`opts`] so the watchdog can interrupt the solver cooperatively.
-    static ACTIVE_TOKEN: RefCell<Option<CancelToken>> = const { RefCell::new(None) };
-}
-
-fn opts(timeout: Duration) -> CheckOptions {
-    let mut o = CheckOptions::with_timeout(timeout);
-    if let Some(token) = ACTIVE_TOKEN.with(|t| t.borrow().clone()) {
-        o = o.with_cancel(token);
-    }
-    o
-}
-
 /// Fault boundary for one table cell.
 ///
-/// The cell body runs under [`catch_unwind`], with a [`Watchdog`] armed
-/// slightly past the solver's own deadline: if the checker hangs between
-/// budget polls, the watchdog trips the cell's [`CancelToken`] and the cell
-/// resolves as `T.O`; if it panics, the payload is captured and the cell
-/// resolves as `CRASH`. Either way the remaining cells still run — one bad
-/// cell no longer kills `repro-tables`.
-pub fn run_cell<F>(timeout: Duration, f: F) -> Outcome
+/// The cell body runs under [`catch_unwind`]: if the checker panics, the
+/// payload is captured and the cell resolves as `CRASH`. A check that runs
+/// out of time resolves as `T.O` through its own deadline. Either way the
+/// remaining cells still run — one bad cell no longer kills `repro-tables`.
+pub fn run_cell<F>(f: F) -> Outcome
 where
     F: FnOnce() -> Outcome,
 {
-    let token = CancelToken::new();
-    // Grace period: the in-band deadline should fire first; the watchdog is
-    // the backstop for code stuck between cooperative polls.
-    let _watchdog = Watchdog::arm(token.clone(), timeout + timeout / 4 + Duration::from_secs(1));
-    ACTIVE_TOKEN.with(|t| *t.borrow_mut() = Some(token));
     let result = catch_unwind(AssertUnwindSafe(|| {
         match failpoints::trip("bench::cell") {
             // `Panic` unwinds out of `trip` itself, exercising the boundary.
@@ -92,7 +71,6 @@ where
         }
         f()
     }));
-    ACTIVE_TOKEN.with(|t| *t.borrow_mut() = None);
     match result {
         Ok(outcome) => outcome,
         Err(payload) => Outcome::Crash(panic_message(&*payload)),
@@ -130,7 +108,7 @@ pub fn transpose_nonparam(bits: u32, n: u64, concretize: bool, timeout: Duration
         .expect("corpus parses");
     let (bx, by) = transpose_block(n);
     let cfg = GpuConfig::concrete_2d(bits, bx, by);
-    let mut o = opts(timeout);
+    let mut o = CheckOptions::with_timeout(timeout);
     if concretize {
         o = o.concretized("width", bx).concretized("height", by);
     }
@@ -146,7 +124,7 @@ pub fn transpose_param(bits: u32, concretize: bool, timeout: Duration) -> Outcom
     let naive = KernelUnit::load(pug_kernels::transpose::NAIVE).expect("corpus parses");
     let opt = KernelUnit::load(pug_kernels::transpose::OPTIMIZED).expect("corpus parses");
     let cfg = GpuConfig::symbolic_2d(bits);
-    let mut o = opts(timeout);
+    let mut o = CheckOptions::with_timeout(timeout);
     if concretize {
         o = o.concretized("width", 8).concretized("height", 8);
     }
@@ -177,7 +155,7 @@ fn reduction_pair(bits: u32, buggy: bool) -> (KernelUnit, KernelUnit) {
 pub fn reduction_nonparam(bits: u32, n: u64, timeout: Duration) -> Outcome {
     let (v0, v1) = reduction_pair(bits, false);
     let cfg = GpuConfig::concrete_1d(bits, n);
-    match check_equivalence_nonparam(&v0, &v1, &cfg, &opts(timeout)) {
+    match check_equivalence_nonparam(&v0, &v1, &cfg, &CheckOptions::with_timeout(timeout)) {
         Ok(r) => Outcome::from_report(&r),
         Err(e) => Outcome::Error(e.to_string()),
     }
@@ -193,7 +171,7 @@ pub fn reduction_v2_nonparam(bits: u32, n: u64, timeout: Duration) -> Outcome {
     let v0 = KernelUnit::load(&pug_kernels::reduction::v0_bounded(bound)).expect("corpus parses");
     let v2 = KernelUnit::load(&pug_kernels::reduction::v2_bounded(bound)).expect("corpus parses");
     let cfg = GpuConfig::concrete_1d(bits, n);
-    match check_equivalence_nonparam(&v0, &v2, &cfg, &opts(timeout)) {
+    match check_equivalence_nonparam(&v0, &v2, &cfg, &CheckOptions::with_timeout(timeout)) {
         Ok(r) => Outcome::from_report(&r),
         Err(e) => Outcome::Error(e.to_string()),
     }
@@ -212,7 +190,7 @@ pub fn reduction_param(bits: u32, concretize: bool, timeout: Duration) -> Outcom
     } else {
         GpuConfig::symbolic_1d(bits)
     };
-    match check_equivalence_param(&v0, &v1, &cfg, &opts(timeout)) {
+    match check_equivalence_param(&v0, &v1, &cfg, &CheckOptions::with_timeout(timeout)) {
         Ok(r) => Outcome::from_report(&r),
         Err(e) => Outcome::Error(e.to_string()),
     }
@@ -224,7 +202,7 @@ pub fn transpose_buggy_nonparam(bits: u32, n: u64, timeout: Duration) -> Outcome
     let buggy = KernelUnit::load(pug_kernels::transpose::BUGGY_ADDR).expect("corpus parses");
     let (bx, by) = transpose_block(n);
     let cfg = GpuConfig::concrete_2d(bits, bx, by);
-    match check_equivalence_nonparam(&naive, &buggy, &cfg, &opts(timeout)) {
+    match check_equivalence_nonparam(&naive, &buggy, &cfg, &CheckOptions::with_timeout(timeout)) {
         Ok(r) => Outcome::from_report(&r),
         Err(e) => Outcome::Error(e.to_string()),
     }
@@ -235,7 +213,8 @@ pub fn transpose_buggy_param(bits: u32, timeout: Duration) -> Outcome {
     let naive = KernelUnit::load(pug_kernels::transpose::NAIVE).expect("corpus parses");
     let buggy = KernelUnit::load(pug_kernels::transpose::BUGGY_ADDR).expect("corpus parses");
     let cfg = GpuConfig::symbolic_2d(bits);
-    match check_equivalence_param(&naive, &buggy, &cfg, &opts(timeout).fast_bug_hunt()) {
+    let o = CheckOptions::with_timeout(timeout).fast_bug_hunt();
+    match check_equivalence_param(&naive, &buggy, &cfg, &o) {
         Ok(r) => Outcome::from_report(&r),
         Err(e) => Outcome::Error(e.to_string()),
     }
@@ -245,7 +224,7 @@ pub fn transpose_buggy_param(bits: u32, timeout: Duration) -> Outcome {
 pub fn reduction_buggy_nonparam(bits: u32, n: u64, timeout: Duration) -> Outcome {
     let (v0, buggy) = reduction_pair(bits, true);
     let cfg = GpuConfig::concrete_1d(bits, n);
-    match check_equivalence_nonparam(&v0, &buggy, &cfg, &opts(timeout)) {
+    match check_equivalence_nonparam(&v0, &buggy, &cfg, &CheckOptions::with_timeout(timeout)) {
         Ok(r) => Outcome::from_report(&r),
         Err(e) => Outcome::Error(e.to_string()),
     }
@@ -255,7 +234,7 @@ pub fn reduction_buggy_nonparam(bits: u32, n: u64, timeout: Duration) -> Outcome
 pub fn reduction_buggy_param(bits: u32, timeout: Duration) -> Outcome {
     let (v0, buggy) = reduction_pair(bits, true);
     let cfg = GpuConfig::symbolic_1d(bits);
-    match check_equivalence_param(&v0, &buggy, &cfg, &opts(timeout)) {
+    match check_equivalence_param(&v0, &buggy, &cfg, &CheckOptions::with_timeout(timeout)) {
         Ok(r) => Outcome::from_report(&r),
         Err(e) => Outcome::Error(e.to_string()),
     }

@@ -11,12 +11,8 @@ pub struct TableRow {
 }
 
 /// Run one labeled cell inside the [`cells::run_cell`] fault boundary.
-fn cell(
-    label: &str,
-    timeout: Duration,
-    f: impl FnOnce() -> Outcome,
-) -> (String, Outcome) {
-    (label.to_string(), cells::run_cell(timeout, f))
+fn cell(label: &str, f: impl FnOnce() -> Outcome) -> (String, Outcome) {
+    (label.to_string(), cells::run_cell(f))
 }
 
 /// Table II — equivalence checking of *bug-free* kernels.
@@ -29,29 +25,29 @@ pub fn table2_rows(timeout: Duration, quick: bool) -> Vec<TableRow> {
     let transpose_bits: &[u32] = if quick { &[8, 16] } else { &[8, 16, 32] };
     for &bits in transpose_bits {
         let mut cells_row = vec![
-            cell("n=4", timeout, || cells::transpose_nonparam(bits, 4, false, timeout)),
-            cell("n=8", timeout, || cells::transpose_nonparam(bits, 8, false, timeout)),
-            cell("n=16(+C.)", timeout, || cells::transpose_nonparam(bits, 16, true, timeout)),
+            cell("n=4", || cells::transpose_nonparam(bits, 4, false, timeout)),
+            cell("n=8", || cells::transpose_nonparam(bits, 8, false, timeout)),
+            cell("n=16(+C.)", || cells::transpose_nonparam(bits, 16, true, timeout)),
         ];
         if !quick {
             cells_row
-                .push(cell("n=32(+C.)", timeout, || cells::transpose_nonparam(bits, 32, true, timeout)));
+                .push(cell("n=32(+C.)", || cells::transpose_nonparam(bits, 32, true, timeout)));
         }
-        cells_row.push(cell("param -C.", timeout, || cells::transpose_param(bits, false, timeout)));
-        cells_row.push(cell("param +C.", timeout, || cells::transpose_param(bits, true, timeout)));
+        cells_row.push(cell("param -C.", || cells::transpose_param(bits, false, timeout)));
+        cells_row.push(cell("param +C.", || cells::transpose_param(bits, true, timeout)));
         rows.push(TableRow { kernel: format!("Transpose ({bits}b)"), cells: cells_row });
     }
     let reduction_bits: &[u32] = &[8, 12];
     for &bits in reduction_bits {
         let mut cells_row = vec![
-            cell("n=4", timeout, || cells::reduction_nonparam(bits, 4, timeout)),
-            cell("n=8", timeout, || cells::reduction_nonparam(bits, 8, timeout)),
+            cell("n=4", || cells::reduction_nonparam(bits, 4, timeout)),
+            cell("n=8", || cells::reduction_nonparam(bits, 8, timeout)),
         ];
         if !quick {
-            cells_row.push(cell("n=16", timeout, || cells::reduction_nonparam(bits, 16, timeout)));
+            cells_row.push(cell("n=16", || cells::reduction_nonparam(bits, 16, timeout)));
         }
-        cells_row.push(cell("param -C.", timeout, || cells::reduction_param(bits, false, timeout)));
-        cells_row.push(cell("param +C.", timeout, || cells::reduction_param(bits, true, timeout)));
+        cells_row.push(cell("param -C.", || cells::reduction_param(bits, false, timeout)));
+        cells_row.push(cell("param +C.", || cells::reduction_param(bits, true, timeout)));
         rows.push(TableRow { kernel: format!("Reduction ({bits}b)"), cells: cells_row });
     }
     rows
@@ -65,10 +61,10 @@ pub fn table3_rows(timeout: Duration, quick: bool) -> Vec<TableRow> {
         rows.push(TableRow {
             kernel: format!("Transpose ({bits}b)"),
             cells: vec![
-                cell("n=4", timeout, || cells::transpose_buggy_nonparam(bits, 4, timeout)),
-                cell("n=8", timeout, || cells::transpose_buggy_nonparam(bits, 8, timeout)),
-                cell("n=16", timeout, || cells::transpose_buggy_nonparam(bits, 16, timeout)),
-                cell("param", timeout, || cells::transpose_buggy_param(bits, timeout)),
+                cell("n=4", || cells::transpose_buggy_nonparam(bits, 4, timeout)),
+                cell("n=8", || cells::transpose_buggy_nonparam(bits, 8, timeout)),
+                cell("n=16", || cells::transpose_buggy_nonparam(bits, 16, timeout)),
+                cell("param", || cells::transpose_buggy_param(bits, timeout)),
             ],
         });
     }
@@ -77,10 +73,10 @@ pub fn table3_rows(timeout: Duration, quick: bool) -> Vec<TableRow> {
         rows.push(TableRow {
             kernel: format!("Reduction ({bits}b)"),
             cells: vec![
-                cell("n=4", timeout, || cells::reduction_buggy_nonparam(bits, 4, timeout)),
-                cell("n=8", timeout, || cells::reduction_buggy_nonparam(bits, 8, timeout)),
-                cell("n=16", timeout, || cells::reduction_buggy_nonparam(bits, 16, timeout)),
-                cell("param", timeout, || cells::reduction_buggy_param(bits, timeout)),
+                cell("n=4", || cells::reduction_buggy_nonparam(bits, 4, timeout)),
+                cell("n=8", || cells::reduction_buggy_nonparam(bits, 8, timeout)),
+                cell("n=16", || cells::reduction_buggy_nonparam(bits, 16, timeout)),
+                cell("param", || cells::reduction_buggy_param(bits, timeout)),
             ],
         });
     }
@@ -129,10 +125,10 @@ pub fn scaling_rows(timeout: Duration) -> Vec<TableRow> {
         TableRow {
             kernel: "Reduce v0/v2 (8b)".into(),
             cells: vec![
-                cell("n=4", timeout, || cells::reduction_v2_nonparam(8, 4, timeout)),
-                cell("n=8", timeout, || cells::reduction_v2_nonparam(8, 8, timeout)),
-                cell("n=16", timeout, || cells::reduction_v2_nonparam(8, 16, timeout)),
-                cell("param v0/v1", timeout, || cells::reduction_param(8, false, timeout)),
+                cell("n=4", || cells::reduction_v2_nonparam(8, 4, timeout)),
+                cell("n=8", || cells::reduction_v2_nonparam(8, 8, timeout)),
+                cell("n=16", || cells::reduction_v2_nonparam(8, 16, timeout)),
+                cell("param v0/v1", || cells::reduction_param(8, false, timeout)),
             ],
         },
         // Transpose with *symbolic* matrix sizes: store-chain resolution
@@ -140,11 +136,11 @@ pub fn scaling_rows(timeout: Duration) -> Vec<TableRow> {
         TableRow {
             kernel: "Transpose -C (8b)".into(),
             cells: vec![
-                cell("n=4", timeout, || cells::transpose_nonparam(8, 4, false, timeout)),
-                cell("n=16", timeout, || cells::transpose_nonparam(8, 16, false, timeout)),
-                cell("n=64", timeout, || cells::transpose_nonparam(8, 64, false, timeout)),
-                cell("n=144", timeout, || cells::transpose_nonparam(8, 144, false, timeout)),
-                cell("param -C.", timeout, || cells::transpose_param(8, false, timeout)),
+                cell("n=4", || cells::transpose_nonparam(8, 4, false, timeout)),
+                cell("n=16", || cells::transpose_nonparam(8, 16, false, timeout)),
+                cell("n=64", || cells::transpose_nonparam(8, 64, false, timeout)),
+                cell("n=144", || cells::transpose_nonparam(8, 144, false, timeout)),
+                cell("param -C.", || cells::transpose_param(8, false, timeout)),
             ],
         },
     ]
@@ -183,7 +179,7 @@ mod tests {
 
     #[test]
     fn cell_boundary_catches_panics() {
-        let o = cells::run_cell(Duration::from_secs(5), || panic!("seeded cell panic"));
+        let o = cells::run_cell(|| panic!("seeded cell panic"));
         assert_eq!(o.to_string(), "CRASH");
         assert!(matches!(o, Outcome::Crash(m) if m.contains("seeded cell panic")));
     }

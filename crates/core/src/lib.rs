@@ -81,6 +81,6 @@ pub use pug_smt::failpoints;
 pub use race::check_races;
 pub use runner::{
     run_resilient, PassRecord, Provenance, ResilientReport, Rung, RungOutcome, RungRecord,
-    RunnerOptions, Watchdog,
+    RunnerOptions,
 };
 pub use verdict::{BugKind, BugReport, RaceClass, Soundness, Verdict};

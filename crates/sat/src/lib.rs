@@ -11,8 +11,9 @@
 //! * Luby-sequence restarts,
 //! * activity/LBD-driven learnt-clause database reduction,
 //! * incremental solving under assumptions with failed-assumption cores, and
-//! * resource budgets (conflicts / propagations / wall clock) so the verifier
-//!   can report the paper's "T.O" outcome instead of hanging.
+//! * resource budgets (conflicts / clause bytes / a cancellation token that
+//!   carries the wall-clock deadline) so the verifier can report the
+//!   paper's "T.O" outcome instead of hanging.
 //!
 //! The paper used Z3; this crate plus `pug-smt` is the from-scratch
 //! replacement covering the exact QF_ABV fragment PUGpara emits (see
@@ -40,7 +41,7 @@ mod heap;
 pub mod solver;
 pub mod types;
 
-pub use budget::{Budget, CancelToken, ResourceBudget};
+pub use budget::{Budget, CancelToken};
 pub use dimacs::Cnf;
 pub use solver::simplify::SimplifyConfig;
 pub use solver::{SolveResult, Solver, Stats};

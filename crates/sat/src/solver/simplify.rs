@@ -24,9 +24,10 @@
 //!   requirement.
 //!
 //! * **Bounded, interruptible work.** Every loop polls the solve budget's
-//!   cancellation token and the `sat::simplify` failpoint, so preprocessing
-//!   can never stall a watchdog: an interrupted pass simply leaves the
-//!   remaining candidates untouched, which is always sound.
+//!   cancellation token (and so its deadline) and the `sat::simplify`
+//!   failpoint, so preprocessing can never outlive a deadline: an
+//!   interrupted pass simply leaves the remaining candidates untouched,
+//!   which is always sound.
 
 use crate::budget::Budget;
 use crate::failpoints;

@@ -1,11 +1,12 @@
 //! Resource-budget and cancellation behavior of the CDCL solver:
-//! a tripped cancel token must surface as `Unknown` within a bounded
-//! number of propagations, and the clause-database byte cap must stop
-//! runs that would otherwise grow the learnt DB without bound.
+//! a tripped cancel token, or one past its deadline, must surface as
+//! `Unknown` within a bounded number of propagations, and the
+//! clause-database byte cap must stop runs that would otherwise grow the
+//! learnt DB without bound.
 
 use pug_sat::{Budget, CancelToken, Cnf, Lit, SolveResult, Solver, Var};
 use pug_testutil::TestRng;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// The solver polls the token every `CANCEL_POLL_INTERVAL` propagations;
 /// tests allow this much slack plus one conflict's worth of work.
@@ -78,6 +79,34 @@ fn prop_tripped_token_bounds_propagations() {
     }
 }
 
+/// Property: whatever the instance, a token whose deadline has passed
+/// yields Unknown after at most one poll interval of propagations, and the
+/// solver itself is undamaged.
+#[test]
+fn prop_expired_deadline_bounds_propagations() {
+    let mut rng = TestRng::seed_from_u64(0xdead1);
+    for case in 0..64u32 {
+        let nv = rng.gen_range(4usize..=16);
+        let nc = rng.gen_range(4usize..=70);
+        let cnf = random_cnf(&mut rng, nv, nc);
+        let mut s = Solver::new();
+        if !cnf.load(&mut s) {
+            continue; // trivially unsat at load time
+        }
+        let expired = CancelToken::new().child_until(Instant::now() - Duration::from_secs(1));
+        let before = s.stats().propagations;
+        let r = s.solve(&Budget::unlimited().and_cancel(expired));
+        let spent = s.stats().propagations - before;
+        assert_eq!(r, SolveResult::Unknown, "case {case}: expired solve must be Unknown");
+        assert!(
+            spent <= POLL_SLACK,
+            "case {case}: {spent} propagations past the deadline (poll bound {POLL_SLACK})"
+        );
+        let r2 = s.solve(&Budget::unlimited());
+        assert_ne!(r2, SolveResult::Unknown, "case {case}: solver must recover without a deadline");
+    }
+}
+
 /// Tripping the token from another thread interrupts a long-running solve.
 #[test]
 fn cross_thread_cancellation_interrupts_solve() {
@@ -96,6 +125,24 @@ fn cross_thread_cancellation_interrupts_solve() {
     assert!(
         started.elapsed() < Duration::from_secs(30),
         "solve did not yield after cross-thread cancel"
+    );
+    assert!(
+        matches!(r, SolveResult::Unknown | SolveResult::Unsat),
+        "unexpected result {r:?}"
+    );
+}
+
+/// A token deadline interrupts a long-running solve on its own: no other
+/// thread is involved.
+#[test]
+fn token_deadline_interrupts_solve_without_a_killer_thread() {
+    let mut s = pigeonhole(9);
+    let token = CancelToken::new().child_until(Instant::now() + Duration::from_millis(30));
+    let started = Instant::now();
+    let r = s.solve(&Budget::unlimited().and_cancel(token));
+    assert!(
+        started.elapsed() < Duration::from_secs(30),
+        "solve did not yield after its token's deadline"
     );
     assert!(
         matches!(r, SolveResult::Unknown | SolveResult::Unsat),
@@ -159,6 +206,7 @@ fn prop_clause_byte_cap_is_respected() {
 #[test]
 fn expired_deadline_yields_unknown() {
     let mut s = pigeonhole(8);
-    let r = s.solve(&Budget::with_timeout(Duration::from_nanos(1)));
+    let token = CancelToken::new().child_until(Instant::now() + Duration::from_nanos(1));
+    let r = s.solve(&Budget::unlimited().and_cancel(token));
     assert_eq!(r, SolveResult::Unknown);
 }

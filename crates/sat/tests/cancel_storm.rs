@@ -1,12 +1,12 @@
 //! Cancel-storm tests for the hierarchical [`CancelToken`].
 //!
 //! The degradation ladder and the `pug-serve` daemon both lean on the same
-//! contract: cancelling one child token (a rung's watchdog) never disturbs
-//! a sibling or the parent, while a parent cancel (a daemon job's
+//! contract: tripping one child token (a rung's deadline) never disturbs
+//! a sibling or the parent, while a parent trip (a daemon job's
 //! disconnect, drain or deadline) reaches every descendant — including
-//! descendants created *while* the cancel is in flight. These tests hammer that contract from
-//! many threads at once; the unit tests in `budget.rs` cover the
-//! single-threaded semantics.
+//! descendants created *while* the cancel is in flight. These tests hammer
+//! that contract from many threads at once; the unit tests in `budget.rs`
+//! cover the single-threaded semantics.
 
 use pug_sat::CancelToken;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -192,4 +192,48 @@ fn root_cancel_stops_a_deep_running_tree_promptly() {
         w.join().unwrap();
     }
     assert_eq!(stopped.load(Ordering::Acquire), JOBS * RUNGS);
+}
+
+/// The daemon's job-deadline shape: every job token carries its own
+/// deadline and nothing ever calls `cancel()`. Every rung, polling from its
+/// own worker thread, must stop once its job's deadline passes — even
+/// though each rung's own deadline lies an hour out — and the root must
+/// stay untripped.
+#[test]
+fn job_deadlines_stop_every_rung_without_a_cancel() {
+    const JOBS: usize = 24;
+    const RUNGS: usize = 3;
+    let root = CancelToken::new();
+    let stopped = Arc::new(AtomicUsize::new(0));
+    let ready = Arc::new(Barrier::new(JOBS * RUNGS + 1));
+    let start = Instant::now();
+    let mut jobs = Vec::new();
+    let mut workers = Vec::new();
+    for j in 0..JOBS {
+        let job = root.child_until(start + Duration::from_millis(20 + 2 * j as u64));
+        for _ in 0..RUNGS {
+            let rung = job.child_until(start + Duration::from_secs(3600));
+            let stopped = Arc::clone(&stopped);
+            let ready = Arc::clone(&ready);
+            workers.push(thread::spawn(move || {
+                ready.wait();
+                let t0 = Instant::now();
+                while !rung.is_cancelled() {
+                    if t0.elapsed() > Duration::from_secs(10) {
+                        panic!("rung never observed its job's deadline");
+                    }
+                    std::hint::spin_loop();
+                }
+                stopped.fetch_add(1, Ordering::Release);
+            }));
+        }
+        jobs.push(job);
+    }
+    ready.wait();
+    for w in workers {
+        w.join().unwrap();
+    }
+    assert_eq!(stopped.load(Ordering::Acquire), JOBS * RUNGS);
+    assert!(jobs.iter().all(CancelToken::is_cancelled));
+    assert!(!root.is_cancelled(), "job deadlines must never reach the root");
 }

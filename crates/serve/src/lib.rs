@@ -12,14 +12,15 @@
 //! The four properties the daemon guarantees (see [`server`] for the
 //! mechanics, and `DESIGN.md` §6 for the rationale):
 //!
-//! * **Admission control & backpressure** — the job queue is bounded by a
-//!   process-wide [`pug_smt::ResourceBudget`] divided into per-job slices;
-//!   beyond it, jobs are shed *immediately* with `overloaded` +
-//!   `retry_after_ms`, never queued unboundedly.
-//! * **Per-job fault isolation** — each job runs under a child
-//!   [`pug_smt::CancelToken`] with a hard deadline and its own
-//!   `catch_unwind`; a panicking, hung or cancelled job answers for itself
-//!   and nothing else. A disconnected client cancels exactly its own jobs.
+//! * **Admission control & backpressure** — the job queue is bounded by
+//!   process-wide memory caps divided into per-job slices; beyond it, jobs
+//!   are shed *immediately* with `overloaded` + `retry_after_ms`, never
+//!   queued unboundedly.
+//! * **Per-job fault isolation** — each job runs on its own thread under a
+//!   child [`pug_smt::CancelToken`] that carries the job's hard deadline,
+//!   and under its own `catch_unwind`; a panicking, hung or cancelled job
+//!   answers for itself and nothing else. A disconnected client cancels
+//!   exactly its own jobs.
 //! * **Graceful shutdown** — SIGTERM/ctrl-c (or the wire `shutdown` op)
 //!   stops admission, drains in-flight jobs to a deadline, then cancels
 //!   stragglers; aborted jobs still answer with their partial rung

@@ -12,6 +12,7 @@ use pug_serve::server::{start, ServeConfig};
 use pug_serve::ServerHandle;
 use pugpara::runner::run_resilient;
 use pugpara::KernelUnit;
+use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
@@ -20,14 +21,13 @@ fn boot(cfg: &ServeConfig) -> ServerHandle {
     start(cfg, "127.0.0.1:0").expect("daemon binds an ephemeral port")
 }
 
-/// A deterministically *heavy* job: proving 32-bit multiplication
+/// A deterministically *heavy* pair: proving 32-bit multiplication
 /// distributivity is a classically hard SAT instance (minutes, not
-/// milliseconds), so this job reliably stays in flight until cancelled.
+/// milliseconds), so every rung runs until its deadline or a cancel.
 /// Distributivity — unlike associativity or commutativity — is *not* an
 /// AC rearrangement, so the canonicalization pass cannot discharge it by
 /// rewriting and the obligation genuinely reaches the SAT solver.
-/// The generous `timeout_ms` keeps the per-rung watchdog out of the way.
-fn heavy_request(id: &str) -> Json {
+fn mul_dist_request(id: &str, timeout_ms: u64) -> Json {
     const SRC: &str = r#"
 __global__ void mulDist(int *d, int *a, int *b, int *c, int n) {
     int i = blockIdx.x * blockDim.x + threadIdx.x;
@@ -44,7 +44,13 @@ __global__ void mulDist(int *d, int *a, int *b, int *c, int n) {
     }
 }
 "#;
-    verify_inline_request(id, SRC, TGT, 1, 32, Some(600_000))
+    verify_inline_request(id, SRC, TGT, 1, 32, Some(timeout_ms))
+}
+
+/// A heavy job that stays in flight until cancelled: the generous rung
+/// budget keeps every rung clear of its deadline.
+fn heavy_request(id: &str) -> Json {
+    mul_dist_request(id, 600_000)
 }
 
 fn connect(server: &ServerHandle) -> Client {
@@ -111,6 +117,100 @@ fn wire_verdicts_match_the_in_process_runner() {
         let rungs = resp.get("rungs").and_then(Json::as_arr).unwrap();
         assert!(!rungs.is_empty(), "provenance must carry at least one rung record");
     }
+    assert!(server.shutdown().clean);
+}
+
+/// A rung deadline over the wire trips that rung only, never the job
+/// token: the heavy pair under a 200 ms rung budget answers `verdict`, not
+/// `aborted`, with a timed-out Param rung, far inside the job's hard
+/// deadline of 4 × 200 ms + 5 s, and no job is counted as aborted for its
+/// deadline.
+#[test]
+fn rung_deadline_over_the_wire_never_aborts_the_job() {
+    let server = boot(&ServeConfig::default());
+    let mut client = connect(&server);
+    let t0 = Instant::now();
+    let resp = client.request(&mul_dist_request("short", 200)).unwrap();
+    let elapsed = t0.elapsed();
+    assert_eq!(resp.str_field("type"), Some("verdict"), "got {}", resp.render());
+    let rungs = resp.get("rungs").and_then(Json::as_arr).unwrap();
+    let param = rungs.iter().find(|r| r.str_field("rung") == Some("Param")).unwrap();
+    assert_eq!(param.str_field("outcome"), Some("timeout"), "got {}", resp.render());
+    let hard_deadline = Duration::from_millis(4 * 200) + Duration::from_secs(5);
+    assert!(elapsed < hard_deadline / 2, "job took {elapsed:?}");
+    let page = http_metrics(server.addr()).unwrap();
+    assert!(!page.contains("serve.jobs.aborted.deadline"), "a job was aborted:\n{page}");
+    assert!(server.shutdown().clean);
+}
+
+/// Inline kernels nested about 10,000 levels deep, in the shapes of
+/// `pug-cuda`'s nesting-limit tests, interleaved with corpus jobs on
+/// several connections: every hostile job answers `error` with the nesting
+/// diagnostic, every corpus job gets the in-process runner's verdict, and
+/// the daemon still answers afterwards.
+#[test]
+fn hostile_cuda_mid_burst_answers_errors_and_daemon_keeps_serving() {
+    const DEPTH: usize = 10_000;
+    let wrap = |open: &str, inner: &str, close: &str| {
+        format!("{}{inner}{}", open.repeat(DEPTH), close.repeat(DEPTH))
+    };
+    let assign = |e: String| format!("__global__ void k(int *a, int i) {{\n  a[i] = {e};\n}}");
+    let body = |b: String| format!("__global__ void k(int *a, int i) {{\n  {b}\n}}");
+    let hostile = [
+        assign(wrap("(", "i", ")")),
+        assign(wrap("-(", "i", ")")),
+        assign(wrap("a[i] + (", "i", ")")),
+        assign(wrap("a[", "i", "]")),
+        body(wrap("if (i) { ", "a[i] = i;", " }")),
+        body(wrap("{ ", "a[i] = i;", " }")),
+        assign(format!("{}i", "- ".repeat(DEPTH))),
+        assign(format!("{}a[i]", "a[i] + ".repeat(DEPTH))),
+    ];
+    let pairs = [
+        ("vector_add/kernel", "vector_add/kernel"),
+        ("vector_add/kernel", "vector_add/buggy"),
+        ("transpose/naive", "transpose/buggy_addr"),
+        ("reduction/v0", "reduction/buggy_index"),
+    ];
+    let expected: Vec<String> = pairs.iter().map(|(s, t)| in_process_verdict(s, t)).collect();
+
+    let server = boot(&ServeConfig::default());
+    let mut clients: Vec<Client> = (0..3).map(|_| connect(&server)).collect();
+    let mut pending: Vec<HashMap<String, Option<usize>>> = vec![HashMap::new(); clients.len()];
+    for (c, client) in clients.iter_mut().enumerate() {
+        for i in 0..pairs.len() {
+            let p = (c + i) % pairs.len();
+            let id = format!("corpus-{c}-{i}");
+            let (src, tgt) = pairs[p];
+            client.send(&verify_corpus_request(&id, src, tgt, Some(8), None)).unwrap();
+            pending[c].insert(id, Some(p));
+            let h = &hostile[(c * pairs.len() + i) % hostile.len()];
+            let id = format!("hostile-{c}-{i}");
+            client.send(&verify_inline_request(&id, h, h, 1, 8, None)).unwrap();
+            pending[c].insert(id, None);
+        }
+    }
+    for (c, client) in clients.iter_mut().enumerate() {
+        while !pending[c].is_empty() {
+            let resp = client.recv().unwrap().expect("every job answers before close");
+            let id = resp.str_field("id").unwrap_or_default().to_string();
+            let job = pending[c].remove(&id).unwrap_or_else(|| panic!("stray {}", resp.render()));
+            match job {
+                Some(p) => {
+                    assert_eq!(resp.str_field("type"), Some("verdict"), "got {}", resp.render());
+                    assert_eq!(resp.str_field("verdict"), Some(expected[p].as_str()), "{id}");
+                }
+                None => {
+                    assert_eq!(resp.str_field("type"), Some("error"), "got {}", resp.render());
+                    let msg = resp.str_field("message").unwrap_or_default();
+                    assert!(msg.ends_with("nesting deeper than 256 levels"), "{id}: {msg}");
+                }
+            }
+        }
+    }
+
+    let pong = clients[0].request(&Json::obj(vec![("op", "ping".into())])).unwrap();
+    assert_eq!(pong.str_field("type"), Some("pong"));
     assert!(server.shutdown().clean);
 }
 

@@ -39,8 +39,8 @@ pub struct BitBlaster {
     gate_cache: HashMap<GateKey, Lit>,
     gates_hashconsed: u64,
     true_lit: Lit,
-    /// Budget honoured during encoding (deadline, cancellation, clause-DB
-    /// byte cap). Defaults to unlimited.
+    /// Budget honoured during encoding (the token's cancellation and
+    /// deadline, the clause-DB byte cap). Defaults to unlimited.
     budget: Budget,
     steps: u64,
     aborted: bool,
@@ -71,8 +71,8 @@ impl BitBlaster {
 
     /// Honour `budget` while encoding: large circuits (wide multipliers /
     /// dividers over many threads) can blow past a deadline before the SAT
-    /// search even starts, so the blaster itself polls the deadline, the
-    /// cancellation token and the clause-DB byte cap.
+    /// search even starts, so the blaster itself polls the cancellation
+    /// token (and so its deadline) and the clause-DB byte cap.
     pub fn set_budget(&mut self, budget: &Budget) {
         self.budget = budget.clone();
     }

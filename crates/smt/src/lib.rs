@@ -49,7 +49,7 @@ pub use eval::{Env, Value};
 pub use model::Model;
 pub use normalize::Normalizer;
 pub use pug_sat::failpoints;
-pub use pug_sat::{Budget, CancelToken, ResourceBudget, SimplifyConfig};
+pub use pug_sat::{Budget, CancelToken, SimplifyConfig};
 pub use session::{assert_fingerprint, canonical_hash, SolveSession};
 pub use solver::{check, check_detailed, check_detailed_with, check_valid, CheckStats, SmtResult};
 pub use sort::Sort;

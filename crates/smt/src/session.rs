@@ -158,12 +158,8 @@ impl SolveSession {
     /// at query entry, so caps keep their one-shot per-query meaning.
     fn query_budget(&self, budget: &Budget) -> Budget {
         let mut b = budget.clone();
-        let s = self.sat.stats();
         if let Some(m) = b.max_conflicts {
-            b.max_conflicts = Some(m.saturating_add(s.conflicts));
-        }
-        if let Some(m) = b.max_propagations {
-            b.max_propagations = Some(m.saturating_add(s.propagations));
+            b.max_conflicts = Some(m.saturating_add(self.sat.stats().conflicts));
         }
         if let Some(m) = b.max_clause_bytes {
             b.max_clause_bytes = Some(m.saturating_add(self.sat.clause_db_bytes()));

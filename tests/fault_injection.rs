@@ -1,7 +1,7 @@
 //! Fault-injection integration suite: the resilient runner must survive
 //! solver panics, injected budget exhaustion, spurious Unknowns and
 //! external cancellation — descending the degradation ladder, carrying
-//! provenance, and never aborting or hanging past the watchdog.
+//! provenance, and never aborting or hanging past a rung's deadline.
 //!
 //! Failpoints are process-global, so every test takes `FAULT_LOCK` and
 //! resets the registry on drop (even on assertion failure).
@@ -10,6 +10,7 @@ use pugpara::failpoints::{self, Fault};
 use pugpara::runner::{run_resilient, Rung, RungOutcome, RunnerOptions};
 use pugpara::{KernelUnit, Soundness, Verdict};
 use pug_ir::GpuConfig;
+use pug_sat::CancelToken;
 use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
@@ -202,7 +203,7 @@ fn concretized_rung_catches_param_fault() {
 /// A degradation fault inside SAT preprocessing (`sat::simplify`) aborts
 /// the pass but never the answer: skipping BVE/subsumption is always
 /// sound, so the Param rung still proves the pair — preprocessing
-/// can stall neither the verdict nor the watchdog.
+/// can stall neither the verdict nor the deadline.
 #[test]
 fn aborted_preprocessing_still_answers_on_param() {
     let _scope = FaultScope::armed(&[("sat::simplify", Fault::BudgetExhausted)]);
@@ -248,7 +249,7 @@ fn simplify_panic_is_contained_at_the_rung_boundary() {
 }
 
 /// Ladder runs are bounded in wall-clock even when every rung times out:
-/// per-rung watchdog deadlines keep the whole descent under
+/// per-rung token deadlines keep the whole descent under
 /// rungs × (timeout + grace).
 #[test]
 fn faulted_ladder_finishes_promptly() {
@@ -314,8 +315,29 @@ fn cancelled_parent_stops_every_rung() {
     );
 }
 
+/// A parent token past its deadline stops the run like a cancelled one:
+/// the ladder starts no rung at all, so only the skipped Param+C record is
+/// left.
+#[test]
+fn expired_parent_deadline_starts_no_rung() {
+    let _scope = FaultScope::armed(&[]);
+    let (naive, _) = transpose_pair();
+    let opts = RunnerOptions {
+        cancel: CancelToken::new().child_until(Instant::now() - Duration::from_secs(1)),
+        ..RunnerOptions::default()
+    };
+    let report = run_resilient(&naive, &naive, &GpuConfig::symbolic_2d(8), &opts);
+
+    assert!(matches!(report.verdict, Verdict::Timeout), "{}", report.provenance.render());
+    assert!(
+        report.provenance.rungs.iter().all(|r| matches!(r.outcome, RungOutcome::Skipped(_))),
+        "{}",
+        report.provenance.render()
+    );
+}
+
 /// 32-bit multiplication distributivity: every rung of this pair runs far
-/// past a 200 ms budget, so each rung's watchdog trips.
+/// past a 200 ms budget, so each rung's deadline trips.
 const MUL_DIST_SRC: &str = r#"
 __global__ void mulDist(int *d, int *a, int *b, int *c, int n) {
     int i = blockIdx.x * blockDim.x + threadIdx.x;
@@ -333,10 +355,10 @@ __global__ void mulDist(int *d, int *a, int *b, int *c, int n) {
 }
 "#;
 
-/// A rung's watchdog trips that rung's own token, never the parent: after
+/// A rung's deadline trips that rung's own token, never the parent: after
 /// every rung timed out, the parent token is still live.
 #[test]
-fn rung_watchdog_never_cancels_the_parent() {
+fn rung_deadline_never_cancels_the_parent() {
     let _scope = FaultScope::armed(&[]);
     let src = KernelUnit::load(MUL_DIST_SRC).unwrap();
     let tgt = KernelUnit::load(MUL_DIST_TGT).unwrap();
@@ -348,7 +370,7 @@ fn rung_watchdog_never_cancels_the_parent() {
         "{}",
         report.provenance.render()
     );
-    assert!(!opts.cancel.is_cancelled(), "a rung watchdog cancelled the parent token");
+    assert!(!opts.cancel.is_cancelled(), "a rung deadline cancelled the parent token");
 }
 
 /// The aux passes run under children of the parent token too: with the
