@@ -89,22 +89,7 @@ fn golden_path(name: &str) -> PathBuf {
 
 /// Compare (or, under `UPDATE_GOLDEN=1`, record) one snapshot.
 fn check_golden(name: &str, actual: &str) -> Result<(), String> {
-    let path = golden_path(name);
-    if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        fs::create_dir_all(path.parent().unwrap()).unwrap();
-        fs::write(&path, actual).unwrap();
-        return Ok(());
-    }
-    let expected = fs::read_to_string(&path).map_err(|e| {
-        format!("{name}: cannot read {} ({e}); run with UPDATE_GOLDEN=1 to record", path.display())
-    })?;
-    if expected != actual {
-        return Err(format!(
-            "{name}: narrative drifted from golden file {}\n--- expected\n{expected}\n--- actual\n{actual}",
-            path.display()
-        ));
-    }
-    Ok(())
+    pug_testutil::check_golden(&golden_path(name), actual)
 }
 
 fn stable(report: &pugpara::ResilientReport) -> String {
