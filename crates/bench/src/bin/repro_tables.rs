@@ -1,13 +1,20 @@
 //! `repro-tables` — regenerate the paper's Tables II and III.
 //!
 //! ```text
-//! repro-tables [--table 2|3|all] [--timeout SECS] [--quick] [--fault-injection]
+//! repro-tables [--table 2|3|scaling|all] [--timeout SECS] [--quick]
+//!              [--fault-injection] [--trace PATH] [--explain]
 //! ```
 //!
 //! Prints each table in the paper's layout: per-cell SMT time in seconds,
 //! `s*` for (correctly) detected non-equivalence, `T.O` for budget
 //! exhaustion. The paper used a 5-minute timeout on a 2012 laptop with Z3;
 //! the default here is 60 s per cell with the built-in solver.
+//!
+//! The other modes replace the tables: `--fault-injection` runs a quick
+//! Table III grid under each injectable fault, `--trace PATH` writes and
+//! validates one traced check's JSONL, and `--explain` prints verdict
+//! narratives for the explain corpus. A bad argument exits 2 with the
+//! usage line.
 
 use pug_bench::{render_rows, table2_rows, table3_rows, Outcome};
 use pug_sat::failpoints::{self, Fault};
@@ -18,8 +25,6 @@ struct Args {
     timeout: Duration,
     quick: bool,
     fault_injection: bool,
-    bench_json: Option<String>,
-    baseline: Option<String>,
     trace: Option<String>,
     explain: bool,
 }
@@ -30,15 +35,19 @@ fn parse_args() -> Args {
         timeout: Duration::from_secs(60),
         quick: false,
         fault_injection: false,
-        bench_json: None,
-        baseline: None,
         trace: None,
         explain: false,
     };
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--table" => args.table = it.next().unwrap_or_else(|| usage("missing table")),
+            "--table" => {
+                let t = it.next().unwrap_or_else(|| usage("missing table"));
+                if !matches!(t.as_str(), "2" | "3" | "scaling" | "all") {
+                    usage(&format!("unknown table {t}"));
+                }
+                args.table = t;
+            }
             "--timeout" => {
                 let v = it.next().unwrap_or_else(|| usage("missing timeout"));
                 let secs: u64 = v.parse().unwrap_or_else(|_| usage("bad timeout"));
@@ -46,12 +55,6 @@ fn parse_args() -> Args {
             }
             "--quick" => args.quick = true,
             "--fault-injection" => args.fault_injection = true,
-            "--bench-json" => {
-                args.bench_json = Some(it.next().unwrap_or_else(|| usage("missing path")))
-            }
-            "--baseline" => {
-                args.baseline = Some(it.next().unwrap_or_else(|| usage("missing path")))
-            }
             "--trace" => args.trace = Some(it.next().unwrap_or_else(|| usage("missing path"))),
             "--explain" => args.explain = true,
             "--help" | "-h" => usage(""),
@@ -67,8 +70,7 @@ fn usage(err: &str) -> ! {
     }
     eprintln!(
         "usage: repro-tables [--table 2|3|scaling|all] [--timeout SECS] [--quick] \
-         [--fault-injection] [--bench-json PATH] [--baseline PATH] \
-         [--trace PATH] [--explain]"
+         [--fault-injection] [--trace PATH] [--explain]"
     );
     std::process::exit(if err.is_empty() { 0 } else { 2 });
 }
@@ -147,57 +149,6 @@ fn main() {
     if args.explain {
         // Verdict narratives for the explain corpus's pairs.
         print!("{}", pug_bench::explain_rows(args.quick));
-        return;
-    }
-    if let Some(path) = &args.bench_json {
-        // Incremental-vs-one-shot grid: per-stage timings + cache stats as
-        // JSON; verdict divergence between the two solving modes is a
-        // correctness failure (this doubles as the CI perf smoke).
-        let report = pug_bench::bench_json_report(args.timeout, args.quick);
-        if let Err(e) = std::fs::write(path, &report.json) {
-            eprintln!("bench-json: cannot write {path}: {e}");
-            std::process::exit(1);
-        }
-        println!(
-            "bench-json: {} rows, {} agreeing, {} rung-improved, aggregate speedup {:.2}x -> {path}",
-            report.rows_total,
-            report.rows_agreeing,
-            report.rows_rung_improved,
-            report.aggregate_speedup
-        );
-        if report.rows_agreeing != report.rows_total {
-            eprintln!(
-                "bench-json: verdict divergence between incremental and one-shot paths"
-            );
-            std::process::exit(1);
-        }
-        if report.rows_rung_improved == 0 {
-            // The generalized quantifier elimination must buy at least one
-            // strictly stronger answering rung with the verdict preserved.
-            eprintln!("bench-json: no rung-improvement row — generalized qelim earned nothing");
-            std::process::exit(1);
-        }
-        if let Some(baseline_path) = &args.baseline {
-            // Perf-regression gate: each row's incremental wall must stay
-            // within 10% (+50 ms absolute floor) of the committed baseline.
-            let baseline = match std::fs::read_to_string(baseline_path) {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("bench-json: cannot read baseline {baseline_path}: {e}");
-                    std::process::exit(1);
-                }
-            };
-            match pug_bench::baseline_gate(&report, &baseline) {
-                Ok(summary) => {
-                    println!("bench-json: baseline {baseline_path}");
-                    print!("{summary}");
-                }
-                Err(detail) => {
-                    eprintln!("bench-json: perf regression vs {baseline_path}\n{detail}");
-                    std::process::exit(1);
-                }
-            }
-        }
         return;
     }
     if args.fault_injection {

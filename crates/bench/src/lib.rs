@@ -13,12 +13,10 @@
 //! concretization rescuing hard instances) is the reproduction target. See
 //! EXPERIMENTS.md for the side-by-side record.
 
-pub mod bench_json;
 pub mod cells;
 pub mod observe;
 pub mod tables;
 
-pub use bench_json::{baseline_gate, bench_json_report, BenchJsonReport};
 pub use cells::Outcome;
 pub use observe::{explain_corpus, explain_rows, trace_smoke};
 pub use tables::{render_rows, scaling_rows, table2_rows, table3_rows, TableRow};

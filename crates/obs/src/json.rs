@@ -1,14 +1,14 @@
 //! Minimal hand-rolled JSON: the one codec of the workspace.
 //!
 //! The repo's no-new-deps rule (the container is offline) rules out serde;
-//! the `pug-serve` line protocol, the trace JSONL export and the
-//! `--bench-json` document need objects, strings, numbers, booleans and
-//! arrays, so this is a ~300-line value type with a recursive-descent
-//! parser and a deterministic writer. The parser bounds its nesting depth,
-//! so a hostile line cannot overflow the stack of the thread that reads it,
-//! and it runs in time linear in its input. Object keys keep insertion
-//! order, so rendered documents are byte-stable — the load driver compares
-//! service verdicts against in-process verdicts textually.
+//! the `pug-serve` line protocol and the trace JSONL export need objects,
+//! strings, numbers, booleans and arrays, so this is a ~300-line value
+//! type with a recursive-descent parser and a deterministic writer. The
+//! parser bounds its nesting depth, so a hostile line cannot overflow the
+//! stack of the thread that reads it, and it runs in time linear in its
+//! input. Object keys keep insertion order, so rendered documents are
+//! byte-stable — the load driver compares service verdicts against
+//! in-process verdicts textually.
 
 use std::fmt::Write as _;
 
@@ -85,14 +85,6 @@ impl Json {
     pub fn as_str(&self) -> Option<&str> {
         match self {
             Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Int(n) => Some(*n as f64),
-            Json::Num(n) => Some(*n),
             _ => None,
         }
     }
@@ -437,7 +429,7 @@ mod tests {
         assert_eq!(v, back);
         assert_eq!(back.str_field("op"), Some("verify"));
         assert_eq!(back.u64_field("n"), Some(42));
-        assert_eq!(back.get("pi").and_then(Json::as_f64), Some(3.5));
+        assert_eq!(back.get("pi"), Some(&Json::Num(3.5)));
         assert_eq!(back.get("ok").and_then(Json::as_bool), Some(true));
         assert_eq!(back.get("arr").and_then(Json::as_arr).map(|a| a.len()), Some(2));
     }
@@ -455,7 +447,7 @@ mod tests {
         let v = Json::parse(" { \"a\" : [ 1 , -2.5 , \"\\u0041\\ud83d\\ude80\" ] } ").unwrap();
         let arr = v.get("a").and_then(Json::as_arr).unwrap();
         assert_eq!(arr[0].as_u64(), Some(1));
-        assert_eq!(arr[1].as_f64(), Some(-2.5));
+        assert_eq!(arr[1], Json::Num(-2.5));
         assert_eq!(arr[2].as_str(), Some("A🚀"));
     }
 
@@ -500,7 +492,7 @@ mod tests {
         assert_eq!(Json::parse("8.0").unwrap().as_u64(), Some(8));
         assert_eq!(Json::parse("1e2").unwrap().as_u64(), Some(100));
         assert_eq!(Json::parse("8.5").unwrap().as_u64(), None);
-        assert_eq!(Json::parse("-7").unwrap().as_f64(), Some(-7.0));
+        assert_eq!(Json::parse("-7").unwrap(), Json::Int(-7));
         // Beyond i128 the literal falls back to f64.
         assert!(matches!(Json::parse(&"9".repeat(40)).unwrap(), Json::Num(_)));
     }

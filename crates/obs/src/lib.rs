@@ -16,8 +16,7 @@
 //! - [`parse_jsonl`] / [`validate`]: round-trip and structural checks for
 //!   trace dumps, used by the CI trace smoke and the property tests.
 //! - [`Json`]: the workspace's one JSON codec. It renders and parses the
-//!   trace JSONL, the `pug-serve` wire protocol and the `--bench-json`
-//!   document.
+//!   trace JSONL and the `pug-serve` wire protocol.
 //!
 //! The crate deliberately knows nothing about kernels or verdicts; the
 //! `explain` narrative renderer lives in `pugpara`, next to the
