@@ -12,7 +12,9 @@
 //!   obligation the screen discharged;
 //! * two rung rows through `run_resilient`, with the generalized
 //!   (Presburger) quantifier elimination on and under
-//!   `Ablation::NoGeneralizedQelim`.
+//!   `Ablation::NoGeneralizedQelim`;
+//! * seven single-kernel rows: the race, bank-conflict, coalescing and
+//!   parameterized postcondition checkers on corpus kernels.
 //!
 //! Every count of every cell is compared with `tests/golden/work_counts.txt`
 //! byte for byte. The counts repeat exactly across runs, processes and
@@ -35,10 +37,13 @@
 //! invisible here; `pugbench check` on alternating pairs measures wall time.
 
 use pug_ir::GpuConfig;
-use pug_kernels::{reduction, scalar_product, stride, transpose};
+use pug_kernels::{reduction, scalar_product, scan, stride, transpose, vector_add};
 use pugpara::equiv::{check_equivalence_param, CheckOptions, Mode};
 use pugpara::runner::{run_resilient, ResilientReport, Rung, RunnerOptions};
-use pugpara::{Ablation, KernelUnit, QueryCache, Soundness, Verdict};
+use pugpara::{
+    check_bank_conflicts, check_coalescing, check_postcondition_param, check_races, Ablation,
+    Error, KernelUnit, PerfReport, QueryCache, QueryStat, Report, Soundness, Verdict,
+};
 use std::path::Path;
 use std::time::Duration;
 
@@ -160,6 +165,24 @@ struct Counts {
 }
 
 impl Counts {
+    fn add_queries(&mut self, queries: &[QueryStat]) {
+        for q in queries {
+            let s = &q.stats;
+            self.queries += 1;
+            self.cached_queries += usize::from(s.cached);
+            self.discharged_by_rewrite += usize::from(s.discharged_by_rewrite);
+            self.conflicts += s.sat.conflicts;
+            self.decisions += s.sat.decisions;
+            self.propagations += s.sat.propagations;
+            self.cnf_vars += s.cnf_vars;
+            self.cnf_clauses += s.cnf_clauses;
+            self.clauses_reused += s.clauses_reused;
+            self.vars_eliminated += s.sat.vars_eliminated;
+            self.clauses_subsumed += s.sat.clauses_subsumed;
+            self.gates_hashconsed += s.gates_hashconsed;
+        }
+    }
+
     fn render(&self) -> String {
         format!(
             "verdict={} queries={} cached_queries={} discharged_by_rewrite={} \
@@ -218,25 +241,68 @@ fn run_row(row: &Row, incremental: bool) -> Counts {
             c.verdict.push('+');
         }
         c.verdict.push_str(verdict_class(report.as_ref().map(|r| &r.verdict)));
-        for q in report.iter().flat_map(|r| &r.queries) {
-            let s = &q.stats;
-            c.queries += 1;
-            c.cached_queries += usize::from(s.cached);
-            c.discharged_by_rewrite += usize::from(s.discharged_by_rewrite);
-            c.conflicts += s.sat.conflicts;
-            c.decisions += s.sat.decisions;
-            c.propagations += s.sat.propagations;
-            c.cnf_vars += s.cnf_vars;
-            c.cnf_clauses += s.cnf_clauses;
-            c.clauses_reused += s.clauses_reused;
-            c.vars_eliminated += s.sat.vars_eliminated;
-            c.clauses_subsumed += s.sat.clauses_subsumed;
-            c.gates_hashconsed += s.gates_hashconsed;
+        if let Some(r) = &report {
+            c.add_queries(&r.queries);
         }
     }
     if let Some(cache) = &cache {
         c.cache_hits = cache.hits();
         c.cache_misses = cache.misses();
+    }
+    c
+}
+
+type Checker<R> = fn(&KernelUnit, &GpuConfig, &CheckOptions) -> Result<R, Error>;
+
+/// A single-kernel checker: one that returns a verdict, or a performance
+/// analysis that returns findings.
+#[derive(Clone, Copy)]
+enum Check {
+    Verdict(Checker<Report>),
+    Findings(Checker<PerfReport>),
+}
+
+/// Single-kernel checks at 8 bits with no cache: `(row, check, kernel,
+/// 2-D launch)`. A 2-D row runs at `symbolic_2d(8)`, the others at
+/// `symbolic_1d(8)`. Transpose races and the transpose postcondition are
+/// left out: they take seconds each.
+const CHECK_ROWS: [(&str, Check, &str, bool); 7] = [
+    ("param-race/races/8b", Check::Verdict(check_races), stride::PARAM_RACE, false),
+    ("reduction-v1/races/8b", Check::Verdict(check_races), reduction::V1, false),
+    ("scan-naive/races/8b", Check::Verdict(check_races), scan::NAIVE, false),
+    ("transpose-opt/bank/8b", Check::Findings(check_bank_conflicts), transpose::OPTIMIZED, true),
+    ("reduction-v0/bank/8b", Check::Findings(check_bank_conflicts), reduction::V0, false),
+    ("transpose-naive/coalescing/8b", Check::Findings(check_coalescing), transpose::NAIVE, true),
+    (
+        "vector_add/postcond/8b",
+        Check::Verdict(check_postcondition_param),
+        vector_add::WITH_POSTCOND,
+        false,
+    ),
+];
+
+/// Counts of one single-kernel check. A performance analysis's verdict is
+/// its number of findings, e.g. `findings:1`.
+fn run_check(check: Check, src: &str, two_d: bool) -> Counts {
+    let unit = load(src);
+    let cfg = if two_d { GpuConfig::symbolic_2d(8) } else { GpuConfig::symbolic_1d(8) };
+    let opts = CheckOptions::with_timeout(TIMEOUT);
+    let mut c = Counts::default();
+    match check {
+        Check::Verdict(f) => {
+            let report = f(&unit, &cfg, &opts).ok();
+            c.verdict = verdict_class(report.as_ref().map(|r| &r.verdict)).to_string();
+            if let Some(r) = &report {
+                c.add_queries(&r.queries);
+            }
+        }
+        Check::Findings(f) => match f(&unit, &cfg, &opts) {
+            Ok(r) => {
+                c.verdict = format!("findings:{}", r.findings.len());
+                c.add_queries(&r.queries);
+            }
+            Err(_) => c.verdict = "error".to_string(),
+        },
     }
     c
 }
@@ -317,6 +383,13 @@ fn work_counts_match_golden() {
     }
     if improved == 0 {
         problems.push("no rung row answers at a stronger rung with qelim on".into());
+    }
+    for (name, check, src, two_d) in CHECK_ROWS {
+        let c = run_check(check, src, two_d);
+        doc.push_str(&format!("{name} {}\n", c.render()));
+        if c.verdict == "timeout" || c.verdict == "error" {
+            problems.push(format!("{name}: the check did not answer"));
+        }
     }
     cache_gain_problems(&incremental, &mut problems);
 
