@@ -27,8 +27,9 @@
 //! variables and chaining them across barrier intervals with matching
 //! constraints ([`resolve`], the paper's Figures 1–2 and §IV-C). The
 //! residual quantified formulas ("no thread wrote this cell") are
-//! discharged by witness correspondences or the monotone-map elimination of
-//! [`qelim`] (§IV-D); in [`equiv::Mode::FastBugHunt`] they are dropped —
+//! discharged by witness correspondences (§IV-D; the paper's monotone-map
+//! elimination is kept in [`qelim`], which no checker calls); in
+//! [`equiv::Mode::FastBugHunt`] they are dropped —
 //! reported bugs are then still real, while proofs become
 //! under-approximate ([`Soundness::UnderApprox`], §IV-A "Formal Status").
 //! Loops preserved by the optimization are compared body-to-body after
@@ -59,13 +60,14 @@ pub mod nonparam;
 pub mod param;
 pub mod perf;
 pub mod postcond;
-pub mod presburger;
 pub mod qelim;
 pub mod race;
 pub mod resolve;
 pub mod runner;
+mod session;
 pub mod spec;
 pub mod verdict;
+mod witness;
 
 pub use cache::{QueryCache, QueryCacheStats, DEFAULT_QUERY_CACHE_CAPACITY};
 pub use equiv::{

@@ -12,6 +12,7 @@
 
 use crate::error::Error;
 use crate::kernel::KernelUnit;
+use crate::resolve::ThreadRef;
 use pug_ir::{BoundConfig, Env, Machine, Memory, Val};
 use pug_smt::{Ctx, Sort, TermId};
 use std::collections::{HashMap, HashSet};
@@ -35,18 +36,11 @@ pub struct VersionMeta {
     pub cas: Vec<CA>,
 }
 
-/// The canonical symbolic thread of one kernel.
-#[derive(Clone, Copy, Debug)]
-pub struct CanonicalThread {
-    pub tid: [TermId; 3],
-    pub bid: [TermId; 2],
-}
-
 /// Result of parameterized extraction over a (possibly multi-BI) region.
 #[derive(Clone, Debug)]
 pub struct ParamRegion {
     /// Canonical thread variables the CA terms are expressed over.
-    pub thread: CanonicalThread,
+    pub thread: ThreadRef,
     /// Range constraint over the canonical thread (`tid.* < bdim.*` etc.).
     pub range: TermId,
     /// Version metadata for every version produced in this region.
@@ -100,13 +94,13 @@ impl Memory for CaMemory {
 }
 
 /// Make the canonical thread for a kernel tag, with its range constraint.
-pub fn canonical_thread(ctx: &mut Ctx, bound: &BoundConfig, tag: &str) -> (CanonicalThread, TermId) {
+pub fn canonical_thread(ctx: &mut Ctx, bound: &BoundConfig, tag: &str) -> (ThreadRef, TermId) {
     let w = bound.bits;
     let v = |ctx: &mut Ctx, n: &str| ctx.mk_var(&format!("{n}!{tag}"), Sort::BitVec(w));
     let tid = [v(ctx, "tau.x"), v(ctx, "tau.y"), v(ctx, "tau.z")];
     let bid = [v(ctx, "taub.x"), v(ctx, "taub.y")];
     let range = thread_range(ctx, bound, tid, bid);
-    (CanonicalThread { tid, bid }, range)
+    (ThreadRef { tid, bid }, range)
 }
 
 /// `tid.* < bdim.* ∧ bid.* < gdim.*` for arbitrary thread coordinate terms.

@@ -15,14 +15,15 @@
 //!   `tid.x + tid.y * bdim.x`; a global access is coalesced when thread
 //!   `t+1` touches `address(t) + 1`.
 
-use crate::equiv::{CheckOptions, QueryStat, Session};
+use crate::equiv::{segment_scope, CheckOptions, QueryStat};
 use crate::error::Error;
 use crate::kernel::KernelUnit;
 use crate::param::{extract_region, thread_range, ExtractOptions};
 use crate::resolve::ThreadRef;
+use crate::session::Session;
 use crate::verdict::{BugKind, BugReport};
 use pug_cuda::typecheck::VarInfo;
-use pug_ir::{split_bis, GpuConfig, Segment};
+use pug_ir::{split_bis, GpuConfig};
 use pug_smt::{SmtResult, Sort, TermId};
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
@@ -78,68 +79,37 @@ fn analyze(
     let mut assumptions: Vec<TermId> = bound.constraints.clone();
 
     for (i, seg) in segments.iter().enumerate() {
-        // One symbolic iteration for loop segments, as in the race checker.
-        type SegmentEnv = (Vec<pug_cuda::Stmt>, Vec<(String, TermId, bool)>, Vec<TermId>);
-        let (stmts, extra_locals, mut extra): SegmentEnv =
-            match seg {
-                Segment::Straight(sts) => (sts.clone(), vec![], vec![]),
-                Segment::Loop { init, cond, update, body, .. } => {
-                    let Some(header) = pug_ir::normalize_header(init, cond, update) else {
-                        continue; // unrecognized loop: skip (perf analysis is best-effort)
-                    };
-                    let kvar = sess.ctx.mk_var(&format!("k!perf{i}"), Sort::BitVec(w));
-                    let params = crate::equiv::scalar_params(&[unit]);
-                    let Ok(membership) = crate::equiv::space_constraint(
-                        &mut sess,
-                        &bound,
-                        &header.space,
-                        kvar,
-                        &params,
-                    ) else {
-                        continue;
-                    };
-                    (body.clone(), vec![(header.var.clone(), kvar, false)], vec![membership])
-                }
-            };
-        let bis = split_bis(&stmts)?;
-        let conc = sess.conc_map();
+        // One symbolic iteration for loop segments, as in the race checker;
+        // perf analysis is best-effort, so an unrecognized loop is skipped.
+        let Ok(Some(scope)) = segment_scope(&mut sess, &bound, unit, seg, &format!("k!perf{i}"))
+        else {
+            continue;
+        };
         let region = extract_region(
             &mut sess.ctx,
             unit,
             &bound,
-            &bis,
+            &split_bis(scope.stmts)?,
             ExtractOptions {
                 tag: &format!("p{i}"),
                 entry_versions: HashMap::new(),
-                extra_locals,
+                extra_locals: scope.locals,
                 region: format!("seg{i}"),
-                concretize: conc,
+                concretize: sess.conc.clone(),
             },
         )?;
         assumptions.extend(region.outputs.assumptions.iter().copied());
+        let mut extra = scope.membership;
         extra.extend(assumptions.iter().copied());
 
         // Two symbolic threads of the same block.
-        let mk = |sess: &mut Session, n: &str| {
-            sess.ctx.mk_var(&format!("{n}!perf{i}"), Sort::BitVec(w))
-        };
-        let bid = [mk(&mut sess, "p.bx"), mk(&mut sess, "p.by")];
-        let t1 = ThreadRef { tid: [mk(&mut sess, "p1.x"), mk(&mut sess, "p1.y"), mk(&mut sess, "p1.z")], bid };
-        let t2 = ThreadRef { tid: [mk(&mut sess, "p2.x"), mk(&mut sess, "p2.y"), mk(&mut sess, "p2.z")], bid };
-        let r1 = thread_range(&mut sess.ctx, bound_ref(&bound), t1.tid, t1.bid);
-        let r2 = thread_range(&mut sess.ctx, bound_ref(&bound), t2.tid, t2.bid);
-
-        let subst = |sess: &mut Session, t: TermId, to: ThreadRef| -> TermId {
-            let c = region.thread;
-            let mut map = HashMap::new();
-            for j in 0..3 {
-                map.insert(c.tid[j], to.tid[j]);
-            }
-            for j in 0..2 {
-                map.insert(c.bid[j], to.bid[j]);
-            }
-            sess.ctx.substitute(t, &map)
-        };
+        let bid =
+            ["bx", "by"].map(|c| sess.ctx.mk_var(&format!("p.{c}!perf{i}"), Sort::BitVec(w)));
+        let t1 = ThreadRef::in_block(&mut sess.ctx, w, bid, |c| format!("p1.{c}!perf{i}"));
+        let t2 = ThreadRef::in_block(&mut sess.ctx, w, bid, |c| format!("p2.{c}!perf{i}"));
+        let r1 = thread_range(&mut sess.ctx, &bound, t1.tid, t1.bid);
+        let r2 = thread_range(&mut sess.ctx, &bound, t2.tid, t2.bid);
+        let canonical = region.thread;
 
         // Linearized thread ids and the same-half-warp / successor shapes.
         let lin = |sess: &mut Session, t: ThreadRef| -> TermId {
@@ -169,10 +139,10 @@ fn analyze(
             if !relevant || reported.contains(&a.array) {
                 continue;
             }
-            let addr1 = subst(&mut sess, a.index, t1);
-            let g1 = subst(&mut sess, a.guard, t1);
-            let addr2 = subst(&mut sess, a.index, t2);
-            let g2 = subst(&mut sess, a.guard, t2);
+            let addr1 = canonical.subst(&mut sess.ctx, a.index, t1);
+            let g1 = canonical.subst(&mut sess.ctx, a.guard, t1);
+            let addr2 = canonical.subst(&mut sess.ctx, a.index, t2);
+            let g2 = canonical.subst(&mut sess.ctx, a.guard, t2);
 
             let mut asserts = extra.clone();
             asserts.extend([r1, r2, g1, g2]);
@@ -219,8 +189,4 @@ fn analyze(
         sess.exit_seg();
     }
     Ok(PerfReport { findings, queries: sess.take_queries(), elapsed: started.elapsed() })
-}
-
-fn bound_ref(b: &pug_ir::BoundConfig) -> &pug_ir::BoundConfig {
-    b
 }

@@ -8,12 +8,14 @@
 //! the equivalence checker, so the property is established for an arbitrary
 //! number of threads.
 
-use crate::equiv::{CheckOptions, Mode, Report, Session};
+use crate::equiv::{CheckOptions, Mode, Report};
 use crate::error::Error;
 use crate::kernel::KernelUnit;
 use crate::param::{extract_region, thread_range, ExtractOptions};
-use crate::resolve::Resolver;
-use crate::verdict::{BugKind, BugReport, Verdict};
+use crate::resolve::{Resolver, ThreadRef};
+use crate::session::Session;
+use crate::verdict::{BugKind, BugReport, Soundness, Verdict};
+use crate::witness::{obligation_check, Coverage};
 use pug_ir::{split_bis, GpuConfig, Segment};
 use pug_smt::SmtResult;
 use std::collections::HashMap;
@@ -41,7 +43,7 @@ pub fn check_postcondition_nonparam(
     }
     let goal = sess.ctx.mk_and_many(&goals);
     let verdict = match sess.query("postcond(nonparam)", &premises, goal) {
-        SmtResult::Unsat => Verdict::Verified(crate::Soundness::Sound),
+        SmtResult::Unsat => Verdict::Verified(Soundness::Sound),
         SmtResult::Unknown => Verdict::Timeout,
         SmtResult::Sat(model) => Verdict::Bug(BugReport::new(
             BugKind::AssertionViolation,
@@ -74,7 +76,6 @@ pub fn check_postcondition_param(
         }));
     }
     let bis = split_bis(&unit.kernel.body)?;
-    let conc = sess.conc_map();
     let region = extract_region(
         &mut sess.ctx,
         unit,
@@ -85,7 +86,7 @@ pub fn check_postcondition_param(
             entry_versions: HashMap::new(),
             extra_locals: vec![],
             region: String::new(),
-            concretize: conc,
+            concretize: sess.conc.clone(),
         },
     )?;
 
@@ -108,10 +109,10 @@ pub fn check_postcondition_param(
         });
     }
 
-    let (resolved, premises, obligations, region_for_obs) = {
+    let (resolved, premises, obligations) = {
+        let observer = ThreadRef::named(&mut sess.ctx, bound.bits, |c| format!("obs.{c}"));
         let mut r = Resolver::new(&mut sess.ctx, &region, "s");
         r.cover_all_reads = true;
-        let observer = r.observer("obs");
         let tru = r.ctx.mk_true();
         let resolved: Vec<_> =
             raw_goals.iter().map(|&g| r.resolve(g, observer, tru)).collect();
@@ -123,7 +124,7 @@ pub fn check_postcondition_param(
         premises.extend(r.all_premises());
         let range = thread_range(r.ctx, &bound, observer.tid, observer.bid);
         premises.push(range);
-        (resolved, premises, r.obligations, &region)
+        (resolved, premises, r.obligations)
     };
 
     let goal = sess.ctx.mk_and_many(&resolved);
@@ -145,21 +146,25 @@ pub fn check_postcondition_param(
     // output cells no thread wrote.
     if sess.mode() == Mode::Prove {
         for ob in &obligations {
-            match crate::equiv::obligation_check_pub(
-                &mut sess,
-                &bound,
-                ob,
-                region_for_obs,
-                &premises,
-            )? {
-                None => {}
-                Some(Verdict::Timeout) => return Ok(sess.take_report(Verdict::Timeout, started)),
-                Some(v) if ob.uninit_base => return Ok(sess.take_report(v, started)),
-                Some(_) => {
-                    // Input-backed read without a witnessed writer: the
-                    // property was only checked on covered cells.
-                    sess.soundness = crate::Soundness::UnderApprox;
+            match obligation_check(&mut sess, &bound, ob, region.thread.tid[0], &premises) {
+                Coverage::Proven => {}
+                Coverage::Timeout => return Ok(sess.take_report(Verdict::Timeout, started)),
+                Coverage::Unproven(model) if ob.uninit_base => {
+                    let v = Verdict::Bug(BugReport::new(
+                        BugKind::CoverageMismatch,
+                        format!(
+                            "a read of `{}` hits a cell no thread is witnessed to write (hidden \
+                             configuration assumption violated)",
+                            ob.array
+                        ),
+                        model,
+                        &sess.ctx,
+                    ));
+                    return Ok(sess.take_report(v, started));
                 }
+                // Input-backed read without a witnessed writer: the
+                // property was only checked on covered cells.
+                Coverage::Unproven(_) => sess.soundness = Soundness::UnderApprox,
             }
         }
     }

@@ -20,14 +20,15 @@
 //! race stays *potential*. Classification never changes the verdict — a
 //! `Sat` model is a real race under the symbolic semantics either way.
 
-use crate::equiv::{CheckOptions, Report, Session};
+use crate::equiv::{segment_scope, CheckOptions, Report};
 use crate::error::Error;
 use crate::kernel::KernelUnit;
 use crate::param::{extract_region, thread_range, ExtractOptions, ParamRegion};
 use crate::resolve::ThreadRef;
+use crate::session::Session;
 use crate::verdict::{BugKind, BugReport, RaceClass, Verdict};
 use pug_cuda::typecheck::VarInfo;
-use pug_ir::{split_bis, BoundConfig, ConcreteInputs, Extent, GpuConfig, Segment};
+use pug_ir::{split_bis, BoundConfig, ConcreteInputs, Extent, GpuConfig};
 use pug_smt::{Model, Sort, SmtResult, TermId};
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -51,64 +52,25 @@ pub fn check_races(
     let mut assumptions: Vec<TermId> = bound.constraints.clone();
 
     for (i, seg) in segments.iter().enumerate() {
-        let (region, extra) = match seg {
-            Segment::Straight(stmts) => {
-                let bis = split_bis(stmts)?;
-                let conc = sess.conc_map();
-                let region = extract_region(
-                    &mut sess.ctx,
-                    unit,
-                    &bound,
-                    &bis,
-                    ExtractOptions {
-                        tag: &format!("r{i}"),
-                        entry_versions: HashMap::new(),
-                        extra_locals: vec![],
-                        region: format!("seg{i}"),
-                        concretize: conc,
-                    },
-                )?;
-                (region, Vec::new())
-            }
-            Segment::Loop { init, cond, update, body, .. } => {
-                // One symbolic iteration with the header's membership
-                // constraint (races across iterations are separated by the
-                // in-loop barrier).
-                let header =
-                    pug_ir::normalize_header(init, cond, update).ok_or_else(|| {
-                        Error::AlignmentFailed {
-                            detail: "race checking needs a recognizable loop header".into(),
-                        }
-                    })?;
-                let w = bound.bits;
-                let kvar = sess.ctx.mk_var(&format!("k!race{i}"), Sort::BitVec(w));
-                let params = crate::equiv::scalar_params(&[unit]);
-                let membership = crate::equiv::space_constraint(
-                    &mut sess,
-                    &bound,
-                    &header.space,
-                    kvar,
-                    &params,
-                )?;
-                let bis = split_bis(body)?;
-                let conc = sess.conc_map();
-                let region = extract_region(
-                    &mut sess.ctx,
-                    unit,
-                    &bound,
-                    &bis,
-                    ExtractOptions {
-                        tag: &format!("r{i}"),
-                        entry_versions: HashMap::new(),
-                        extra_locals: vec![(header.var.clone(), kvar, false)],
-                        region: format!("seg{i}"),
-                        concretize: conc,
-                    },
-                )?;
-                (region, vec![membership])
-            }
-        };
+        let scope = segment_scope(&mut sess, &bound, unit, seg, &format!("k!race{i}"))?
+            .ok_or_else(|| Error::AlignmentFailed {
+                detail: "race checking needs a recognizable loop header".into(),
+            })?;
+        let region = extract_region(
+            &mut sess.ctx,
+            unit,
+            &bound,
+            &split_bis(scope.stmts)?,
+            ExtractOptions {
+                tag: &format!("r{i}"),
+                entry_versions: HashMap::new(),
+                extra_locals: scope.locals,
+                region: format!("seg{i}"),
+                concretize: sess.conc.clone(),
+            },
+        )?;
         assumptions.extend(region.outputs.assumptions.iter().copied());
+        let extra = scope.membership;
 
         sess.enter_seg(&format!("bi:{i}"));
         if let Some(v) =
@@ -135,32 +97,11 @@ fn race_in_region(
 ) -> Result<Option<Verdict>, Error> {
     // Two distinct symbolic threads.
     let w = bound.bits;
-    let mk = |sess: &mut Session, n: &str| {
-        let t = sess.ctx.mk_var(&format!("{n}!race{seg_ix}"), Sort::BitVec(w));
-        t
-    };
-    let t1 = ThreadRef {
-        tid: [mk(sess, "t1.x"), mk(sess, "t1.y"), mk(sess, "t1.z")],
-        bid: [mk(sess, "t1.bx"), mk(sess, "t1.by")],
-    };
-    let t2 = ThreadRef {
-        tid: [mk(sess, "t2.x"), mk(sess, "t2.y"), mk(sess, "t2.z")],
-        bid: [mk(sess, "t2.bx"), mk(sess, "t2.by")],
-    };
+    let t1 = ThreadRef::named(&mut sess.ctx, w, |c| format!("t1.{c}!race{seg_ix}"));
+    let t2 = ThreadRef::named(&mut sess.ctx, w, |c| format!("t2.{c}!race{seg_ix}"));
     let r1 = thread_range(&mut sess.ctx, bound, t1.tid, t1.bid);
     let r2 = thread_range(&mut sess.ctx, bound, t2.tid, t2.bid);
-
-    let subst = |sess: &mut Session, t: TermId, to: ThreadRef| -> TermId {
-        let c = region.thread;
-        let mut map = HashMap::new();
-        for i in 0..3 {
-            map.insert(c.tid[i], to.tid[i]);
-        }
-        for i in 0..2 {
-            map.insert(c.bid[i], to.bid[i]);
-        }
-        sess.ctx.substitute(t, &map)
-    };
+    let canonical = region.thread;
 
     // Distinctness: some tid component differs (same-block case), or any
     // coordinate differs (cross-block, global arrays only).
@@ -196,10 +137,10 @@ fn race_in_region(
                 unit.types.vars.get(&a.array),
                 Some(VarInfo::SharedArray { .. })
             );
-            let addr1 = subst(sess, a.index, t1);
-            let g1 = subst(sess, a.guard, t1);
-            let addr2 = subst(sess, b.index, t2);
-            let g2 = subst(sess, b.guard, t2);
+            let addr1 = canonical.subst(&mut sess.ctx, a.index, t1);
+            let g1 = canonical.subst(&mut sess.ctx, a.guard, t1);
+            let addr2 = canonical.subst(&mut sess.ctx, b.index, t2);
+            let g2 = canonical.subst(&mut sess.ctx, b.guard, t2);
 
             let mut asserts = assumptions.to_vec();
             asserts.extend(extra.iter().copied());
@@ -411,10 +352,9 @@ fn classify_race(
     // the same symbol the encoded constraints mention).
     let mut inputs = ConcreteInputs::default();
     let w = bound.bits;
-    let conc = sess.conc_map();
     for (name, info) in &unit.types.vars {
         if matches!(info, VarInfo::Scalar { is_param: true, .. }) {
-            let v = match conc.get(name) {
+            let v = match sess.conc.get(name) {
                 Some(&v) => v,
                 None => {
                     let t = sess.ctx.mk_var(name, Sort::BitVec(w));

@@ -11,9 +11,9 @@
 //! checked property is asserted only for addresses actually covered by some
 //! instantiation. The residual obligation — "every read is covered", the
 //! paper's quantified formula — is recorded as a [`CoverageObligation`] and
-//! discharged separately by witness substitution (or by the monotone-g
-//! elimination of [`crate::qelim`]), or skipped in fast-bug-hunt mode
-//! (reported bugs stay real; §IV-D "Fast Bug Hunting").
+//! discharged separately by witness correspondences (`crate::witness`), or
+//! skipped in fast-bug-hunt mode (reported bugs stay real; §IV-D "Fast Bug
+//! Hunting").
 
 use crate::param::{ParamRegion, CA};
 use pug_smt::{Ctx, Op, Sort, TermId};
@@ -24,6 +24,38 @@ use std::collections::HashMap;
 pub struct ThreadRef {
     pub tid: [TermId; 3],
     pub bid: [TermId; 2],
+}
+
+impl ThreadRef {
+    /// The thread whose coordinates are the `w`-bit variables `name(c)` for
+    /// `c` in `x`, `y`, `z`, `bx`, `by`, created in that order. The same
+    /// names give the same terms.
+    pub fn named(ctx: &mut Ctx, w: u32, name: impl Fn(&str) -> String) -> ThreadRef {
+        let mut v = |c: &str| ctx.mk_var(&name(c), Sort::BitVec(w));
+        ThreadRef { tid: [v("x"), v("y"), v("z")], bid: [v("bx"), v("by")] }
+    }
+
+    /// Like [`ThreadRef::named`], but in block `bid`: only the variables
+    /// for `x`, `y` and `z` are created.
+    pub fn in_block(
+        ctx: &mut Ctx,
+        w: u32,
+        bid: [TermId; 2],
+        name: impl Fn(&str) -> String,
+    ) -> ThreadRef {
+        let mut v = |c: &str| ctx.mk_var(&name(c), Sort::BitVec(w));
+        ThreadRef { tid: [v("x"), v("y"), v("z")], bid }
+    }
+
+    /// Substitution map sending this thread's coordinates to `to`'s.
+    pub fn subst_map(&self, to: ThreadRef) -> HashMap<TermId, TermId> {
+        self.tid.into_iter().zip(to.tid).chain(self.bid.into_iter().zip(to.bid)).collect()
+    }
+
+    /// `t` with this thread's coordinates replaced by `to`'s.
+    pub fn subst(&self, ctx: &mut Ctx, t: TermId, to: ThreadRef) -> TermId {
+        ctx.substitute(t, &self.subst_map(to))
+    }
 }
 
 /// One CA instantiation (a fresh `sᵢ`).
@@ -86,6 +118,8 @@ pub struct Resolver<'a> {
     /// checking uses this: without it, the universally-quantified fresh
     /// writer lets the chain take the stale-value branch adversarially.
     pub cover_all_reads: bool,
+    /// Width of the thread coordinates.
+    bits: u32,
     fresh: u32,
     memo: HashMap<(TermId, [TermId; 2]), TermId>,
 }
@@ -100,6 +134,9 @@ impl<'a> Resolver<'a> {
 
     /// New resolver for `region`.
     pub fn new(ctx: &'a mut Ctx, region: &'a ParamRegion, tag: &str) -> Resolver<'a> {
+        let Sort::BitVec(bits) = ctx.sort(region.thread.tid[0]) else {
+            unreachable!("thread vars are bit-vectors")
+        };
         Resolver {
             ctx,
             region,
@@ -108,60 +145,10 @@ impl<'a> Resolver<'a> {
             read_premises: Vec::new(),
             obligations: Vec::new(),
             cover_all_reads: false,
+            bits,
             fresh: 0,
             memo: HashMap::new(),
         }
-    }
-
-    /// A named observer thread: using the same `name` in two resolvers
-    /// yields the *same* terms, so per-block state is compared for one
-    /// common symbolic block.
-    pub fn observer(&mut self, name: &str) -> ThreadRef {
-        let w = match self.ctx.sort(self.region.thread.tid[0]) {
-            Sort::BitVec(w) => w,
-            _ => unreachable!("thread vars are bit-vectors"),
-        };
-        let mk = |ctx: &mut Ctx, c: &str| ctx.mk_var(&format!("{name}.{c}"), Sort::BitVec(w));
-        ThreadRef {
-            tid: [mk(self.ctx, "x"), mk(self.ctx, "y"), mk(self.ctx, "z")],
-            bid: [mk(self.ctx, "bx"), mk(self.ctx, "by")],
-        }
-    }
-
-    fn fresh_thread(&mut self) -> ThreadRef {
-        self.fresh += 1;
-        let n = self.fresh;
-        let w = match self.ctx.sort(self.region.thread.tid[0]) {
-            Sort::BitVec(w) => w,
-            _ => unreachable!("thread vars are bit-vectors"),
-        };
-        let mk = |ctx: &mut Ctx, c: &str, tag: &str| {
-            ctx.mk_var(&format!("s{n}.{c}!{tag}"), Sort::BitVec(w))
-        };
-        let tag = self.tag.clone();
-        ThreadRef {
-            tid: [mk(self.ctx, "x", &tag), mk(self.ctx, "y", &tag), mk(self.ctx, "z", &tag)],
-            bid: [mk(self.ctx, "bx", &tag), mk(self.ctx, "by", &tag)],
-        }
-    }
-
-    /// Substitution map sending the canonical thread to `thread`.
-    fn subst_map(&self, thread: ThreadRef) -> HashMap<TermId, TermId> {
-        let c = self.region.thread;
-        let mut m = HashMap::new();
-        for i in 0..3 {
-            m.insert(c.tid[i], thread.tid[i]);
-        }
-        for i in 0..2 {
-            m.insert(c.bid[i], thread.bid[i]);
-        }
-        m
-    }
-
-    /// Range constraint for a thread reference.
-    fn range_of(&mut self, thread: ThreadRef) -> TermId {
-        let map = self.subst_map(thread);
-        self.ctx.substitute(self.region.range, &map)
     }
 
     /// Instantiate one CA at a fresh thread (Fig. 2). For shared (per-block)
@@ -174,12 +161,14 @@ impl<'a> Resolver<'a> {
         reader_bid: [TermId; 2],
         shared: bool,
     ) -> (Instantiation, TermId /* value */, ThreadRef) {
-        let mut thread = self.fresh_thread();
+        self.fresh += 1;
+        let (n, tag) = (self.fresh, &self.tag);
+        let mut thread = ThreadRef::named(self.ctx, self.bits, |c| format!("s{n}.{c}!{tag}"));
         if shared {
             thread.bid = reader_bid;
         }
-        let map = self.subst_map(thread);
-        let range = self.range_of(thread);
+        let map = self.region.thread.subst_map(thread);
+        let range = self.ctx.substitute(self.region.range, &map);
         self.range_premises.push(range);
         let e = self.ctx.substitute(ca.addr, &map);
         let p = self.ctx.substitute(ca.guard, &map);
@@ -350,8 +339,8 @@ mod tests {
         // out[t] = in[t]: for covered k, value is in[k].
         let (mut ctx, region, mut premises) = setup("void k(int *out, int *in) { out[tid.x] = in[tid.x]; }");
         let k = ctx.mk_var("k", Sort::BitVec(8));
+        let obs = ThreadRef::named(&mut ctx, 8, |c| format!("obs.{c}"));
         let mut r = Resolver::new(&mut ctx, &region, "s");
-        let obs = r.observer("obs");
         let out = r.resolve_output("out", k, obs);
         premises.extend(r.all_premises());
         premises.push(out.cover);
@@ -376,8 +365,8 @@ void k(int *out, int *in) {
 "#,
         );
         let k = ctx.mk_var("k", Sort::BitVec(8));
+        let obs = ThreadRef::named(&mut ctx, 8, |c| format!("obs.{c}"));
         let mut r = Resolver::new(&mut ctx, &region, "s");
-        let obs = r.observer("obs");
         let _out = r.resolve_output("out", k, obs);
         // one instantiation for the out CA + two for the two v reads
         assert!(
@@ -395,8 +384,8 @@ void k(int *out, int *in) {
         let (mut ctx, region, mut premises) =
             setup("void k(int *out) { out[2 * tid.x] = 7; }");
         let k = ctx.mk_var("k", Sort::BitVec(8));
+        let obs = ThreadRef::named(&mut ctx, 8, |c| format!("obs.{c}"));
         let mut r = Resolver::new(&mut ctx, &region, "s");
-        let obs = r.observer("obs");
         let out = r.resolve_output("out", k, obs);
         premises.extend(r.all_premises());
         // k odd ∧ cover: unsatisfiable
@@ -424,8 +413,8 @@ void k(int *out, int *in) {
 "#,
         );
         let k = ctx.mk_var("k", Sort::BitVec(8));
+        let obs = ThreadRef::named(&mut ctx, 8, |c| format!("obs.{c}"));
         let mut r = Resolver::new(&mut ctx, &region, "s");
-        let obs = r.observer("obs");
         let out = r.resolve_output("out", k, obs);
         premises.extend(r.all_premises());
         premises.push(out.cover);
