@@ -62,11 +62,6 @@ impl From<usize> for Json {
         Json::Int(n as i128)
     }
 }
-impl From<f64> for Json {
-    fn from(n: f64) -> Json {
-        Json::Num(n)
-    }
-}
 
 impl Json {
     /// Build an object from `(key, value)` pairs, preserving order.
@@ -419,7 +414,7 @@ mod tests {
             ("op", "verify".into()),
             ("id", "j-1".into()),
             ("n", 42u64.into()),
-            ("pi", 3.5.into()),
+            ("pi", Json::Num(3.5)),
             ("ok", true.into()),
             ("nothing", Json::Null),
             ("arr", Json::Arr(vec![1u64.into(), "two".into()])),
