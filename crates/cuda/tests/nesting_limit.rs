@@ -2,7 +2,7 @@
 //!
 //! Every shape below once aborted the whole process (a stack overflow
 //! cannot be caught) when loaded on a 2 MiB thread, the stack size of the
-//! `pug-serve` job threads. Now each one loads at the deepest accepted
+//! threads that load `pug-serve` jobs. Now each one loads at the deepest accepted
 //! level, [`MAX_NESTING`], and fails one level further and at about 10,000
 //! levels with a structured diagnostic. Each shape's builder takes a depth
 //! in the parser's levels (see [`MAX_NESTING`]), so these tests also pin
@@ -11,7 +11,7 @@
 use pug_cuda::parser::MAX_NESTING;
 use pug_cuda::{check_kernel, parse_kernel};
 
-/// Stack size of the daemon's job threads.
+/// Stack size of the daemon's pool workers, which load every job.
 const JOB_STACK: usize = 2 << 20;
 
 /// A kernel whose right-hand side `a[i] = …` (level 2) is `expr`.

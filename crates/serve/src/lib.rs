@@ -16,11 +16,11 @@
 //!   process-wide memory caps divided into per-job slices; beyond it, jobs
 //!   are shed *immediately* with `overloaded` + `retry_after_ms`, never
 //!   queued unboundedly.
-//! * **Per-job fault isolation** — each job runs on its own thread under a
-//!   child [`pug_smt::CancelToken`] that carries the job's hard deadline,
-//!   and under its own `catch_unwind`; a panicking, hung or cancelled job
-//!   answers for itself and nothing else. A disconnected client cancels
-//!   exactly its own jobs.
+//! * **Per-job fault isolation** — each admitted request is one job on the
+//!   pool, under a child [`pug_smt::CancelToken`] that carries the job's
+//!   hard deadline and under its own `catch_unwind`; a panicking, hung or
+//!   cancelled job answers for itself and nothing else. A disconnected
+//!   client cancels exactly its own jobs.
 //! * **Graceful shutdown** — SIGTERM/ctrl-c (or the wire `shutdown` op)
 //!   stops admission, drains in-flight jobs to a deadline, then cancels
 //!   stragglers; aborted jobs still answer with their partial rung

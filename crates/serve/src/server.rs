@@ -7,16 +7,16 @@
 //!    its own [`CancelToken`], whose deadline is the rung budget (see
 //!    [`pugpara::runner`]); a panicking or hung encoding costs that rung
 //!    only.
-//! 2. **Job** — each admitted job gets a child token of the daemon root
-//!    that carries the job's hard wall-clock deadline, and a
-//!    `catch_unwind` around the whole job thread, so even a bug in the
-//!    service layer poisons one job, never the daemon. The job runs
-//!    [`run_resilient`] as one job on the shared worker pool with its token
-//!    as [`RunnerOptions::cancel`], so every rung's token is a child of the
-//!    job's and inherits its deadline. The job thread is the only thread a
-//!    request starts. The shared [`QueryCache`]
-//!    recovers poisoned locks explicitly, so a crashed job cannot silently
-//!    disable caching.
+//! 2. **Job** — each admitted request runs as one job on the shared worker
+//!    pool: it loads the kernels, runs [`run_resilient`], writes the answer
+//!    and releases its admission permit, all inside its own
+//!    `catch_unwind`, so even a bug in the service layer poisons one job,
+//!    never the daemon. The job gets a child token of the daemon root that
+//!    carries its hard wall-clock deadline and becomes
+//!    [`RunnerOptions::cancel`], so every rung's token is a child of the
+//!    job's and inherits its deadline. A request starts no thread. The
+//!    shared [`QueryCache`] recovers poisoned locks explicitly, so a crashed
+//!    job cannot silently disable caching.
 //! 3. **Connection** — a vanished client cancels exactly its own in-flight
 //!    jobs (their tokens are tracked per connection); other connections and
 //!    the pool never notice.
@@ -28,7 +28,7 @@
 //! ## Admission control
 //!
 //! The job queue is bounded by **process-wide memory caps**
-//! ([`ServeConfig::process_clause_bytes`], [`ServeConfig::process_term_nodes`]):
+//! (2 GiB of SAT clause storage and 256 Mi term nodes):
 //! the caps divided by a per-job slice give the admission capacity, and
 //! every admitted job runs under an equal share of the caps — so the
 //! daemon's worst-case memory is the caps, not `jobs × slice`. When the
@@ -54,7 +54,7 @@ use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -68,15 +68,6 @@ pub struct ServeConfig {
     /// Admission bound (running + admitted jobs). `0` = derive from the
     /// process caps (process cap ÷ per-job slice).
     pub capacity: usize,
-    /// Process-wide cap on SAT clause-database bytes. It bounds the *sum*
-    /// over all concurrently admitted jobs; each job gets `cap / capacity`.
-    pub process_clause_bytes: Option<usize>,
-    /// Process-wide cap on hash-consed term nodes, shared the same way.
-    pub process_term_nodes: Option<usize>,
-    /// Per-job memory slice used to derive `capacity` when it is `0`.
-    pub per_job_clause_bytes: usize,
-    /// Per-job term-node slice used to derive `capacity` when it is `0`.
-    pub per_job_term_nodes: usize,
     /// Default per-rung wall-clock budget (requests may override).
     pub rung_timeout: Duration,
     /// Graceful-shutdown drain deadline: in-flight jobs get this long to
@@ -84,23 +75,30 @@ pub struct ServeConfig {
     pub drain: Duration,
     /// Process-wide [`QueryCache`] retention bound, in fingerprints.
     pub cache_capacity: usize,
-    /// Retry hint handed to shed clients before any latency data exists.
-    pub retry_after: Duration,
 }
+
+/// Process-wide cap on SAT clause-database bytes. It bounds the *sum* over
+/// all concurrently admitted jobs; each job gets `cap / capacity`.
+const PROCESS_CLAUSE_BYTES: usize = 2 << 30;
+/// Process-wide cap on hash-consed term nodes, shared the same way.
+const PROCESS_TERM_NODES: usize = 256 << 20;
+/// Per-job clause-byte slice that derives the capacity when
+/// [`ServeConfig::capacity`] is `0`.
+const PER_JOB_CLAUSE_BYTES: usize = 64 << 20;
+/// Per-job term-node slice, used the same way.
+const PER_JOB_TERM_NODES: usize = 8 << 20;
+/// Retry hint, in milliseconds, handed to shed clients before any latency
+/// data exists, and the floor of the hint afterwards.
+const RETRY_AFTER_MS: u64 = 200;
 
 impl Default for ServeConfig {
     fn default() -> ServeConfig {
         ServeConfig {
             workers: 0,
             capacity: 0,
-            process_clause_bytes: Some(2 << 30),
-            process_term_nodes: Some(256 << 20),
-            per_job_clause_bytes: 64 << 20,
-            per_job_term_nodes: 8 << 20,
             rung_timeout: Duration::from_secs(30),
             drain: Duration::from_secs(10),
             cache_capacity: pugpara::DEFAULT_QUERY_CACHE_CAPACITY,
-            retry_after: Duration::from_millis(200),
         }
     }
 }
@@ -114,8 +112,8 @@ impl ServeConfig {
     pub fn runner_options(&self) -> RunnerOptions {
         let resolved = resolve(self);
         let mut opts = RunnerOptions::with_rung_timeout(self.rung_timeout);
-        opts.engine.max_clause_bytes = resolved.job_clause_bytes;
-        opts.engine.max_term_nodes = resolved.job_term_nodes;
+        opts.engine.max_clause_bytes = Some(resolved.job_clause_bytes);
+        opts.engine.max_term_nodes = Some(resolved.job_term_nodes);
         opts
     }
 }
@@ -130,16 +128,21 @@ const STOPPED: u8 = 2;
 /// propagation / bit-blast granularity, so this is generous).
 const CANCEL_GRACE: Duration = Duration::from_secs(15);
 
+/// How long one response write may block. Pool workers write their own
+/// job's answer, so a client that stops reading holds a worker until its
+/// socket buffers fill and this expires; then the answer is dropped and
+/// the worker moves on.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(10);
+
 /// Resolved admission/slice numbers derived from a [`ServeConfig`].
 #[derive(Clone, Copy, Debug)]
 struct Resolved {
     workers: usize,
     capacity: usize,
-    job_clause_bytes: Option<usize>,
-    job_term_nodes: Option<usize>,
+    job_clause_bytes: usize,
+    job_term_nodes: usize,
     rung_timeout: Duration,
     drain: Duration,
-    retry_after: Duration,
 }
 
 fn resolve(cfg: &ServeConfig) -> Resolved {
@@ -154,32 +157,20 @@ fn resolve(cfg: &ServeConfig) -> Resolved {
         // The admission bound is the process caps divided into per-job
         // slices: admitting more jobs than the caps hold slices would let
         // the aggregate footprint exceed them.
-        let by_clauses =
-            cfg.process_clause_bytes.map(|total| (total / cfg.per_job_clause_bytes.max(1)).max(1));
-        let by_nodes =
-            cfg.process_term_nodes.map(|total| (total / cfg.per_job_term_nodes.max(1)).max(1));
-        match (by_clauses, by_nodes) {
-            (Some(a), Some(b)) => a.min(b),
-            (Some(a), None) => a,
-            (None, Some(b)) => b,
-            (None, None) => workers * 4,
-        }
+        (PROCESS_CLAUSE_BYTES / PER_JOB_CLAUSE_BYTES).min(PROCESS_TERM_NODES / PER_JOB_TERM_NODES)
     };
-    // Every admitted job runs under an equal slice of the process caps.
-    let job_clause_bytes = cfg.process_clause_bytes.map(|total| (total / capacity).max(1));
-    let job_term_nodes = cfg.process_term_nodes.map(|total| (total / capacity).max(1));
     Resolved {
         workers,
         capacity,
-        job_clause_bytes,
-        job_term_nodes,
+        // Every admitted job runs under an equal slice of the process caps.
+        job_clause_bytes: (PROCESS_CLAUSE_BYTES / capacity).max(1),
+        job_term_nodes: (PROCESS_TERM_NODES / capacity).max(1),
         rung_timeout: cfg.rung_timeout,
         drain: cfg.drain,
-        retry_after: cfg.retry_after,
     }
 }
 
-/// State shared by the accept loop, connection threads and job threads.
+/// State shared by the accept loop, connection threads and pool jobs.
 struct Shared {
     cfg: Resolved,
     state: AtomicU8,
@@ -227,10 +218,9 @@ impl Shared {
     /// Retry hint for shed clients: the observed mean job latency when we
     /// have one, clamped to something a client can reasonably sleep.
     fn retry_after_ms(&self) -> u64 {
-        let configured = self.cfg.retry_after.as_millis() as u64;
         match self.metrics.snapshot().histogram("serve.job_us") {
-            Some(h) if h.count > 0 => (h.mean_us() / 1000).clamp(configured.max(50), 5_000),
-            _ => configured,
+            Some(h) if h.count > 0 => (h.mean_us() / 1000).clamp(RETRY_AFTER_MS, 5_000),
+            _ => RETRY_AFTER_MS,
         }
     }
 
@@ -244,7 +234,7 @@ impl Shared {
 }
 
 /// Decrements the in-flight count (and gauge) when the job ends, however
-/// it ends — the permit rides inside the job thread.
+/// it ends — the permit rides inside the pool job.
 struct Permit(Arc<Shared>);
 
 impl Drop for Permit {
@@ -444,6 +434,7 @@ fn handle_conn(shared: Arc<Shared>, stream: TcpStream) {
     // daemon state between timeouts instead of parking forever.
     let _ = stream.set_nonblocking(false);
     let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
+    let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
     let writer: SharedWriter = match stream.try_clone() {
         Ok(w) => Arc::new(Mutex::new(w)),
         Err(_) => {
@@ -486,7 +477,7 @@ fn handle_conn(shared: Arc<Shared>, stream: TcpStream) {
         }
     }
     // The client is gone (or the daemon stopped): cancel exactly this
-    // connection's in-flight jobs. Their job threads observe the
+    // connection's in-flight jobs. Their pool jobs observe the
     // cancellation, classify it, and unwind — other connections never
     // notice.
     conn.gone.store(true, Ordering::Release);
@@ -592,26 +583,25 @@ fn submit_job(
     // leaves room for queueing on a saturated pool. Beyond that something
     // is wedged and the job token trips, which stops the running rung.
     let hard_deadline = rung_timeout.saturating_mul(4).saturating_add(Duration::from_secs(5));
+    let admitted = Instant::now();
     let token = shared.root.child_with_timeout(hard_deadline);
-    let req_id = req.id.clone();
     let job_key = conn.next_job.fetch_add(1, Ordering::Relaxed);
     conn.jobs.lock().unwrap_or_else(PoisonError::into_inner).insert(job_key, token.clone());
 
     let job_shared = Arc::clone(shared);
     let job_conn = Arc::clone(conn);
     let job_writer = Arc::clone(writer);
-    let spawned = std::thread::Builder::new().name("pug-serve-job".into()).spawn(move || {
-        let id = req.id.clone();
-        // Job-level fault boundary: a panic in the service layer itself
-        // (kernel loading, response building) answers `error` and poisons
-        // nothing shared.
+    shared.pool.submit(Box::new(move || {
+        // Job-level fault boundary: a panic anywhere in the job (kernel
+        // loading, the ladder outside its rung boundaries, response
+        // building) answers `error` and poisons nothing shared.
         let response = match catch_unwind(AssertUnwindSafe(|| {
-            run_job(&job_shared, &job_conn, &req, rung_timeout, &token)
+            run_job(&job_shared, &job_conn, &req, rung_timeout, &token, admitted)
         })) {
             Ok(resp) => resp,
             Err(payload) => {
                 job_shared.metrics.incr("serve.jobs.panicked");
-                error_response(&id, &format!("internal panic: {}", panic_message(&*payload)))
+                error_response(&req.id, &format!("internal panic: {}", panic_message(&*payload)))
             }
         };
         // A vanished client makes this write fail; that is fine — the job
@@ -619,16 +609,7 @@ fn submit_job(
         let _ = write_line(&job_writer, &response);
         job_conn.jobs.lock().unwrap_or_else(PoisonError::into_inner).remove(&job_key);
         drop(permit);
-    });
-    if spawned.is_err() {
-        // The closure (and its permit) was dropped by the failed spawn, so
-        // the admission slot is already released.
-        // Could not even spawn the job thread: undo the bookkeeping and
-        // tell the client to retry.
-        conn.jobs.lock().unwrap_or_else(PoisonError::into_inner).remove(&job_key);
-        shared.metrics.incr("serve.jobs.spawn_failed");
-        let _ = write_line(writer, &overloaded_response(&req_id, shared.retry_after_ms()));
-    }
+    }));
 }
 
 /// Resolve a kernel spec to a loaded unit plus its corpus dims hint.
@@ -648,16 +629,16 @@ fn load_spec(spec: &KernelSpec) -> Result<(KernelUnit, Option<Dims>), String> {
     }
 }
 
-/// Run one admitted job to a terminal response. Called inside the job
-/// thread's `catch_unwind`.
+/// Run one admitted job to a terminal response. Called inside the pool
+/// job's `catch_unwind`.
 fn run_job(
     shared: &Arc<Shared>,
     conn: &Arc<ConnState>,
     req: &VerifyRequest,
     rung_timeout: Duration,
     token: &CancelToken,
+    admitted: Instant,
 ) -> Json {
-    let t0 = Instant::now();
     let (src, src_dims) = match load_spec(&req.src) {
         Ok(v) => v,
         Err(msg) => {
@@ -691,16 +672,8 @@ fn run_job(
         cancel: token.clone(),
         ..shared.runner.clone()
     };
-
-    // One pool job per request. If the ladder panics outside its rung
-    // boundaries the pool drops `tx`, and the `expect` below turns into
-    // this job's `error` answer at the job thread's boundary.
-    let (tx, rx) = mpsc::channel();
-    shared.pool.submit(Box::new(move || {
-        let _ = tx.send(run_resilient(&src, &tgt, &cfg, &opts));
-    }));
-    let report = rx.recv().expect("verification job panicked on the pool");
-    shared.metrics.observe("serve.job_us", t0.elapsed());
+    let report = run_resilient(&src, &tgt, &cfg, &opts);
+    shared.metrics.observe("serve.job_us", admitted.elapsed());
 
     // Classify a cancelled job: an externally tripped or expired job token
     // turned the verdict into `Timeout`; report it as an explicit abort
@@ -734,7 +707,7 @@ mod tests {
     fn default_caps_resolve_to_32_slices() {
         let r = resolve(&ServeConfig::default());
         assert_eq!(r.capacity, 32);
-        assert_eq!(r.job_clause_bytes, Some(64 << 20));
-        assert_eq!(r.job_term_nodes, Some(8 << 20));
+        assert_eq!(r.job_clause_bytes, 64 << 20);
+        assert_eq!(r.job_term_nodes, 8 << 20);
     }
 }

@@ -84,7 +84,7 @@ pub(crate) type SharedWriter = Arc<Mutex<TcpStream>>;
 pub(crate) fn write_line(writer: &SharedWriter, value: &Json) -> io::Result<()> {
     let mut text = value.render();
     text.push('\n');
-    // A poisoned writer mutex just means another job thread panicked after
+    // A poisoned writer mutex just means another job panicked after
     // locking; the stream itself is still coherent (lines are written
     // whole), so recover the guard.
     let mut stream = writer.lock().unwrap_or_else(PoisonError::into_inner);
