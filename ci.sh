@@ -1,10 +1,17 @@
 #!/usr/bin/env bash
-# Repo CI: build, full test suite (tests/fault_injection.rs among it covers
-# the degradation ladder's per-rung faults and cancellation), lints, the
-# fault-injection smoke over the table grid and the work-count gate. Wall
-# time is not gated here: `pugbench check` on alternating pairs measures it
-# (benchmark/README.md). Prints a per-suite wall-clock summary at the end so
-# slow suites are visible in the log.
+# Repo CI: build, the full test suite, lints and smokes of the binaries.
+# The `cargo test` step runs every test file once, the gates among them:
+#   tests/work_counts.rs             work counts equal tests/golden/work_counts.txt;
+#                                    backend agreement, the Param rung rows and the
+#                                    cache gains are checked in code, so
+#                                    re-recording cannot accept their loss
+#   tests/fault_injection.rs         the ladder's per-rung faults and cancellation
+#   tests/race_witness_replay.rs     every race called provable replays
+#   tests/normalize_differential.rs  normalize on and off agree
+#   golden_explain, golden_diagnostics  the narrative and diagnostic goldens
+# Wall time is not gated here: `pugbench check` on alternating pairs
+# measures it (benchmark/README.md). Prints a per-suite wall-clock summary
+# at the end so slow suites are visible in the log.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -29,27 +36,6 @@ run_suite "cargo clippy" cargo clippy --workspace --all-targets -- -D warnings
 run_suite "cargo doc" env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 run_suite "fault-injection smoke (sequential)" \
   cargo run --release -p pug-bench --bin repro-tables -- --fault-injection --timeout 20
-# Generalized-qelim smoke: the differential suite proving elimination-on
-# and elimination-off report identical verdicts across the corpus and a
-# fuzzed grid, and that the symbolic-stride pair is answered by the fully
-# parameterized rung only with the elimination on (off, it degrades to
-# the legacy drop path with correct provenance). Plus the replay gate:
-# every race the checker calls provable must carry a schedule this suite
-# independently re-parses and replays.
-run_suite "qelim smoke" \
-  cargo test -q --test qelim_differential
-run_suite "race-replay smoke" \
-  cargo test -q --test race_witness_replay
-# Canonicalization smoke: the differential suite proving normalize-on and
-# normalize-off report the same verdicts and outcome classes on the corpus.
-run_suite "normalize smoke" \
-  cargo test -q --test normalize_differential corpus_pairs_agree
-# Work-count gate: the engine's CNF sizes and search effort on a fixed grid
-# must equal tests/golden/work_counts.txt exactly. Backend verdict
-# agreement, a rung-improved row and the canonicalization cache gains are
-# checked in code, so re-recording (UPDATE_GOLDEN=1) cannot accept their loss.
-run_suite "work-count gate" \
-  cargo test -q --test work_counts
 # Observability smoke: one fully traced equivalence check; the JSONL export
 # is written and re-parsed through the shared `pug_obs::Json` codec and the
 # span tree structurally validated (balanced opens and closes, strictly

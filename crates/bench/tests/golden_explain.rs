@@ -129,10 +129,9 @@ fn param_proof_narrative_matches_golden() {
     check_golden("param_proof", &stable(&report)).unwrap();
 }
 
-/// A sound parameterized proof that *needs* the generalized (Presburger)
-/// quantifier elimination: the grid-stride pair's write coverage is a
-/// symbolic-stride residue the monotone eliminator gives up on, so this
-/// narrative pins the elimination's contribution to the residue story.
+/// A sound parameterized proof over a symbolic-stride loop: membership in
+/// the grid-stride pair's iteration space is a divisibility constraint on
+/// the block size, and this narrative pins the Param rung answering it.
 #[test]
 fn stride_param_proof_narrative_matches_golden() {
     let _scope = Scope::armed(&[]);

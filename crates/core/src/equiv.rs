@@ -65,9 +65,6 @@ pub enum Ablation {
     /// No term canonicalization (`pug_smt::normalize`) and so no
     /// obligation discharged by rewriting.
     NoNormalize,
-    /// No generalized (Presburger) quantifier elimination: symbolic-stride
-    /// obligations take the residual-drop path and the rung downgrades.
-    NoGeneralizedQelim,
 }
 
 /// The engine of one check: per-check resource caps and the ablated
@@ -455,7 +452,7 @@ fn check_array(
             for inst in &from.insts {
                 let premises = [&context[..], &[inst.cond]].concat();
                 match witness::search(
-                    sess, bound, &to.insts, tau_x, inst.thread, k, &premises, array, label,
+                    sess, bound, &to.insts, tau_x, inst.thread, k, &premises, label,
                 ) {
                     Coverage::Proven => {}
                     Coverage::Timeout => return Ok(Some(Verdict::Timeout)),
@@ -789,20 +786,11 @@ fn lower_config_expr(
         Expr::Builtin(Builtin::Gdim(d)) => bound.gdim[dim_ix(*d).min(1)],
         // Scalar kernel parameters are sound bounds: the symbolic lowering
         // (`exec.rs`) binds them as free variables by the same name, so
-        // `mk_var` here denotes the identical value. Gated on the
-        // generalized qelim so the legacy path keeps its exact behavior.
-        Expr::Ident(name) if params.contains(name) && sess.qelim_enabled() => {
-            match sess.conc.get(name).copied() {
-                Some(v) => sess.ctx.mk_bv_const(v, w),
-                None => sess.ctx.mk_var(name, Sort::BitVec(w)),
-            }
-        }
-        Expr::Ident(name) if params.contains(name) => {
-            sess.metrics.incr("qelim.residual_dropped");
-            return Err(Error::AlignmentFailed {
-                detail: format!("loop bound must be configuration-only, found {e:?}"),
-            });
-        }
+        // `mk_var` here denotes the identical value.
+        Expr::Ident(name) if params.contains(name) => match sess.conc.get(name).copied() {
+            Some(v) => sess.ctx.mk_bv_const(v, w),
+            None => sess.ctx.mk_var(name, Sort::BitVec(w)),
+        },
         Expr::Binary { op, lhs, rhs } => {
             let a = lower_config_expr(sess, bound, lhs, params)?;
             let b = lower_config_expr(sess, bound, rhs, params)?;
@@ -902,21 +890,9 @@ pub(crate) fn space_constraint(
             }
             Ok(c)
         }
-        // Symbolic stride (`i += bdim.x` and friends): the membership set
-        // is no longer expressible by the monotone qelim machinery — it
-        // needs the Presburger stride encoding. When the generalized
-        // elimination is off (or failpoint-aborted) this degrades to the
-        // pre-Presburger behavior: the obligation is dropped as residual
-        // and the caller's rung fails over to the degradation ladder.
+        // Symbolic stride (`i += bdim.x` and friends): membership is the
+        // quantifier-free divisibility constraint of `stride_membership`.
         LoopSpace::LinearUpSym { start, bound: b, step, inclusive } => {
-            if !sess.qelim_enabled() {
-                sess.metrics.incr("qelim.residual_dropped");
-                return Err(Error::AlignmentFailed {
-                    detail: "symbolic-stride loop needs the generalized (Presburger) \
-                             quantifier elimination, which is disabled"
-                        .into(),
-                });
-            }
             let st = lower_config_expr(sess, bound, start, params)?;
             let bt = lower_config_expr(sess, bound, b, params)?;
             let stp = lower_config_expr(sess, bound, step, params)?;

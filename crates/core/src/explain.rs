@@ -258,14 +258,15 @@ fn family_table(stats: &[QueryStat], opts: &ExplainOptions) -> String {
 fn residue_story(verdict: &Verdict) -> &'static str {
     match verdict {
         Verdict::Verified(Soundness::Sound) => {
-            "all write-coverage obligations were discharged (every residual \
-             formula was witnessed, eliminated by Presburger reasoning, or \
-             proven); the proof is sound"
+            "all write-coverage obligations were discharged (for every \
+             residual formula the solver proved that a witness thread writes \
+             the cell); the proof is sound"
         }
         Verdict::Verified(Soundness::UnderApprox) => {
-            "some quantified write-coverage residue was dropped after \
-             witnessing failed; the result under-approximates the proof — \
-             reported bugs are real, but absence of bugs is not a proof"
+            "the answer comes from an encoding weaker than the parameterized \
+             claim (a concrete thread count, skipped or unwitnessed coverage \
+             obligations, or an assumed loop order); reported bugs are real, \
+             but absence of bugs is not a proof"
         }
         Verdict::Bug(_) => {
             "not applicable — the counterexample is a concrete witness, and \

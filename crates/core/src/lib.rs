@@ -27,8 +27,8 @@
 //! variables and chaining them across barrier intervals with matching
 //! constraints ([`resolve`], the paper's Figures 1–2 and §IV-C). The
 //! residual quantified formulas ("no thread wrote this cell") are
-//! discharged by witness correspondences (§IV-D; the paper's monotone-map
-//! elimination is kept in [`qelim`], which no checker calls); in
+//! discharged by witness correspondences that the solver proves (§IV-D;
+//! the paper's monotone-map elimination is not implemented); in
 //! [`equiv::Mode::FastBugHunt`] they are dropped —
 //! reported bugs are then still real, while proofs become
 //! under-approximate ([`Soundness::UnderApprox`], §IV-A "Formal Status").
@@ -60,7 +60,6 @@ pub mod nonparam;
 pub mod param;
 pub mod perf;
 pub mod postcond;
-pub mod qelim;
 pub mod race;
 pub mod resolve;
 pub mod runner;

@@ -196,11 +196,6 @@ impl Provenance {
         }
         out
     }
-
-    /// Total wall-clock spent across attempted rungs.
-    pub fn total_spent(&self) -> Duration {
-        self.rungs.iter().map(|r| r.elapsed).sum()
-    }
 }
 
 /// Verdict plus provenance: the runner's result.
@@ -654,7 +649,7 @@ mod tests {
         assert!(base.provenance.passes.iter().any(|p| rewrites(&p.stats)));
 
         use Ablation::*;
-        for a in [OneShot, NoSimplify, NoNormalize, NoGeneralizedQelim] {
+        for a in [OneShot, NoSimplify, NoNormalize] {
             let (r, epochs) = run(RunnerOptions::default().ablate(a));
             assert_eq!(r.verdict.to_string(), base.verdict.to_string(), "{a:?}");
             assert_eq!(r.provenance.answered_by, Some(Rung::Param), "{a:?}");

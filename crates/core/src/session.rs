@@ -98,12 +98,6 @@ impl Session {
         }
     }
 
-    /// Is the generalized (Presburger) elimination on? Off, the engine
-    /// takes the pre-Presburger residual-drop path.
-    pub(crate) fn qelim_enabled(&self) -> bool {
-        !self.engine.ablated(Ablation::NoGeneralizedQelim)
-    }
-
     /// The innermost open span (segment scope or the check root).
     fn current_span(&self) -> &TraceSpan {
         self.seg_stack.last().unwrap_or(&self.trace)
@@ -146,13 +140,13 @@ impl Session {
         }
     }
 
-    /// A coverage obligation was discharged by a ∀-elimination witness.
+    /// A coverage obligation was discharged by a witness correspondence.
     pub(crate) fn note_qelim_witnessed(&mut self) {
         self.metrics.incr("qelim.witnessed");
     }
 
-    /// The generalized (Presburger) elimination produced the constraint or
-    /// witness that made a formerly-residual obligation quantifier-free.
+    /// The affine witness or a symbolic-stride membership constraint made
+    /// a residual obligation quantifier-free.
     pub(crate) fn note_qelim_generalized(&mut self) {
         self.metrics.incr("qelim.generalized");
     }
@@ -161,18 +155,6 @@ impl Session {
     pub(crate) fn note_race(&mut self, provable: bool) {
         self.metrics.incr("races.reported");
         self.metrics.incr(if provable { "races.provable" } else { "races.potential" });
-    }
-
-    /// No witness shape applied: the obligation was dropped and the proof
-    /// downgraded to under-approximate.
-    pub(crate) fn note_qelim_dropped(&mut self, array: &str) {
-        self.metrics.incr("qelim.residual_dropped");
-        if self.trace.is_enabled() {
-            self.current_span().point(
-                &format!("qelim-drop[{array}]"),
-                vec![("effect", "soundness downgraded to under-approximate".into())],
-            );
-        }
     }
 
     /// Open a fresh solve-session epoch. The persistent session accumulates

@@ -9,8 +9,8 @@
 //! ([`WitnessKind`]), whose instantiated write condition must cover the
 //! cell. [`search`] tries the shapes in order and the SMT solver proves the
 //! substituted cover valid, so a wrong witness can fail to prove but never
-//! proves something false. When no shape applies, the residue is dropped
-//! and the proof downgraded to under-approximate.
+//! proves something false. This is the one way a check discharges the
+//! residue.
 //!
 //! The affine shape and the symbolic-stride loops rest on a small term
 //! bridge: [`affine_decompose`] reads an index map as `c·x + d (mod 2^w)`,
@@ -34,7 +34,6 @@
 use crate::param::thread_range;
 use crate::resolve::{CoverageObligation, Instantiation, ThreadRef};
 use crate::session::Session;
-use crate::verdict::Soundness;
 use pug_ir::BoundConfig;
 use pug_smt::{Ctx, Model, Op, SmtResult, Sort, TermId};
 
@@ -56,26 +55,19 @@ pub(crate) enum WitnessKind {
     /// General affine inversion: for CAs writing at any affine map
     /// `c·τ.x + d`, the witness thread is `tid.x := c⁻¹·(addr − d)`
     /// (modular inverse), with a divisibility side condition when `c` is
-    /// even. Only tried when the generalized qelim is enabled; the side
-    /// condition is conjoined into the cover so the SMT solver re-validates
-    /// the inversion in modular arithmetic.
+    /// even. The side condition is conjoined into the cover so the SMT
+    /// solver re-validates the inversion in modular arithmetic.
     Affine,
 }
 
-/// The witness shapes in the order they are tried. The last, the affine
-/// inversion, is tried only when the generalized elimination is enabled.
-const WITNESSES: [WitnessKind; 5] = [
-    WitnessKind::Identity,
-    WitnessKind::SwapTid,
-    WitnessKind::SwapBoth,
-    WitnessKind::InvertX,
-    WitnessKind::Affine,
-];
+/// The witness shapes [`search`] tries after [`WitnessKind::Identity`], in
+/// order.
+const WITNESSES: [WitnessKind; 4] =
+    [WitnessKind::SwapTid, WitnessKind::SwapBoth, WitnessKind::InvertX, WitnessKind::Affine];
 
 /// Outcome of a witness search.
 pub(crate) enum Coverage {
-    /// A witness covers the cell, or no witness shape applied and the
-    /// residue was dropped (the session's soundness is then downgraded).
+    /// A witness covers the cell.
     Proven,
     /// Every witness that applies failed; the last counterexample.
     Unproven(Model),
@@ -86,8 +78,11 @@ pub(crate) enum Coverage {
 /// Search for a witness that the cell `addr`, seen by thread `reference`,
 /// is written by one of `writers`, whose addresses are phrased over the
 /// canonical `tau_x`. Each shape's cover is a query under `premises`,
-/// labelled `label(kind)`, until one is valid. `array` names the residue
-/// when no shape applies.
+/// labelled `label(kind)`, until one is valid.
+///
+/// The identity witness applies to every instantiation, so the search
+/// starts from its answer and tries the next shape that applies while the
+/// answer is a counterexample.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn search(
     sess: &mut Session,
@@ -97,37 +92,45 @@ pub(crate) fn search(
     reference: ThreadRef,
     addr: TermId,
     premises: &[TermId],
-    array: &str,
     label: impl Fn(WitnessKind) -> String,
 ) -> Coverage {
-    let kinds = if sess.qelim_enabled() { &WITNESSES[..] } else { &WITNESSES[..4] };
-    let mut last_model = None;
-    for &kind in kinds {
-        let Some(cover) = witness_cover(&mut sess.ctx, bound, kind, writers, tau_x, reference, addr)
-        else {
-            continue;
-        };
-        match sess.query(&label(kind), premises, cover) {
-            SmtResult::Unsat => {
-                sess.note_qelim_witnessed();
-                if matches!(kind, WitnessKind::Affine) {
-                    sess.note_qelim_generalized();
-                }
-                return Coverage::Proven;
-            }
-            SmtResult::Unknown => return Coverage::Timeout,
-            SmtResult::Sat(m) => last_model = Some(m),
+    let mut identity = sess.ctx.mk_false();
+    for inst in writers {
+        let branch = cover_branch(&mut sess.ctx, bound, inst, reference, None);
+        identity = sess.ctx.mk_or(identity, branch);
+    }
+    let mut answer = discharge(sess, WitnessKind::Identity, &label, premises, identity);
+    for kind in WITNESSES {
+        if !matches!(answer, Coverage::Unproven(_)) {
+            break;
+        }
+        if let Some(cover) =
+            witness_cover(&mut sess.ctx, bound, kind, writers, tau_x, reference, addr)
+        {
+            answer = discharge(sess, kind, &label, premises, cover);
         }
     }
-    match last_model {
-        Some(m) => Coverage::Unproven(m),
-        // No applicable witness shape: the obligation is unverified but
-        // there is no evidence of a bug — downgrade soundness instead.
-        None => {
-            sess.note_qelim_dropped(array);
-            sess.soundness = Soundness::UnderApprox;
+    answer
+}
+
+/// Query whether the `kind` witness's `cover` holds under `premises`.
+fn discharge(
+    sess: &mut Session,
+    kind: WitnessKind,
+    label: impl Fn(WitnessKind) -> String,
+    premises: &[TermId],
+    cover: TermId,
+) -> Coverage {
+    match sess.query(&label(kind), premises, cover) {
+        SmtResult::Unsat => {
+            sess.note_qelim_witnessed();
+            if matches!(kind, WitnessKind::Affine) {
+                sess.note_qelim_generalized();
+            }
             Coverage::Proven
         }
+        SmtResult::Unknown => Coverage::Timeout,
+        SmtResult::Sat(m) => Coverage::Unproven(m),
     }
 }
 
@@ -143,15 +146,33 @@ pub(crate) fn obligation_check(
 ) -> Coverage {
     let premises = [context, &[ob.guard]].concat();
     let label = |kind| format!("read-coverage[{}:{kind:?}]", ob.array);
-    search(sess, bound, &ob.insts, tau_x, ob.reader, ob.addr, &premises, &ob.array, label)
+    search(sess, bound, &ob.insts, tau_x, ob.reader, ob.addr, &premises, label)
+}
+
+/// One disjunct of a cover: `inst`'s `cond ∧ range` with its fresh thread
+/// replaced by the witness thread `w`, and the inversion's `side`
+/// condition conjoined.
+fn cover_branch(
+    ctx: &mut Ctx,
+    bound: &BoundConfig,
+    inst: &Instantiation,
+    w: ThreadRef,
+    side: Option<TermId>,
+) -> TermId {
+    let cond_w = inst.thread.subst(ctx, inst.cond, w);
+    let range_w = thread_range(ctx, bound, w.tid, w.bid);
+    let branch = ctx.mk_and(cond_w, range_w);
+    match side {
+        Some(side) => ctx.mk_and(branch, side),
+        None => branch,
+    }
 }
 
 /// The witnessed cover for `insts`: the disjunction over instantiations of
-/// `cond ∧ range` with each instantiation's fresh thread replaced by the
-/// `kind` witness built from `reference` (and from `addr` for the
-/// inversions). `tau_x` is the τ.x the CA addresses are phrased over.
-/// Returns `None` when the witness shape does not apply.
-pub(crate) fn witness_cover(
+/// [`cover_branch`] at the `kind` witness built from `reference` (and from
+/// `addr` for the inversions). `tau_x` is the τ.x the CA addresses are
+/// phrased over. Returns `None` when the witness shape does not apply.
+fn witness_cover(
     ctx: &mut Ctx,
     bound: &BoundConfig,
     kind: WitnessKind,
@@ -181,12 +202,7 @@ pub(crate) fn witness_cover(
                 (ThreadRef { tid: [x, r.tid[1], r.tid[2]], bid: r.bid }, side)
             }
         };
-        let cond_w = inst.thread.subst(ctx, inst.cond, wthread);
-        let range_w = thread_range(ctx, bound, wthread.tid, wthread.bid);
-        let mut branch = ctx.mk_and(cond_w, range_w);
-        if let Some(side) = side {
-            branch = ctx.mk_and(branch, side);
-        }
+        let branch = cover_branch(ctx, bound, inst, wthread, side);
         disj = ctx.mk_or(disj, branch);
     }
     Some(disj)

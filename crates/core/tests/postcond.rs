@@ -3,7 +3,7 @@
 
 use pugpara::equiv::CheckOptions;
 use pugpara::postcond::{check_postcondition_nonparam, check_postcondition_param};
-use pugpara::KernelUnit;
+use pugpara::{KernelUnit, Soundness, Verdict};
 use pug_ir::GpuConfig;
 use std::time::Duration;
 
@@ -19,7 +19,16 @@ fn vector_add_postcond_param() {
     for q in &report.queries {
         eprintln!("  {}: {} in {:?}", q.label, q.outcome, q.duration);
     }
-    assert!(report.verdict.is_verified(), "got {}", report.verdict);
+    // Under-approximate, not sound: the read-coverage obligation on `c`
+    // gets a counterexample from every witness shape that applies, because
+    // the writer of `c[j]` sits in block `j / blockDim.x` and no shape names
+    // it. A witness that names it (a mixed-radix one) makes the proof
+    // sound, and this assertion then fails to show the change.
+    assert!(
+        matches!(report.verdict, Verdict::Verified(Soundness::UnderApprox)),
+        "got {}",
+        report.verdict
+    );
 }
 
 #[test]

@@ -29,8 +29,8 @@ pub enum LoopSpace {
     /// `k = start; k < bound (or <=); k += step`.
     LinearUp { start: Expr, bound: Expr, step: u64, inclusive: bool },
     /// `k = start; k < bound (or <=); k += step` with a *symbolic* step
-    /// (e.g. the grid-stride idiom `i += bdim.x`). Only checkers with a
-    /// Presburger-capable membership encoding can use this space; others
+    /// (e.g. the grid-stride idiom `i += bdim.x`). Only checkers that state
+    /// membership as a divisibility constraint can use this space; others
     /// must treat it like an unrecognized header.
     LinearUpSym { start: Expr, bound: Expr, step: Expr, inclusive: bool },
 }

@@ -2,13 +2,11 @@
 //!
 //! The loop header `for (base = 0; base < blockDim.x * 4; base += blockDim.x)`
 //! has a *configuration-dependent* step, so its iteration space is not a
-//! constant-stride progression: the monotone-map elimination of `qelim`
-//! cannot express membership, and without the generalized (Presburger)
-//! elimination the `Param` rung must give up on the loop
-//! (`LoopSpace::LinearUpSym`). With it, membership is the divisibility
-//! constraint `(base − 0) mod blockDim.x == 0` and the rung proves the
-//! pair equivalent for *every* block size — the headline rung-improvement
-//! row of the PR-10 benchmarks.
+//! constant-stride progression (`LoopSpace::LinearUpSym`). Membership in it
+//! is the quantifier-free divisibility constraint
+//! `(base − 0) mod blockDim.x == 0`, which the solver checks in modular
+//! arithmetic, and the `Param` rung proves the pair equivalent for *every*
+//! block size.
 //!
 //! `blockDim.x <= 16` keeps `blockDim.x * 4` (max 64) and every address
 //! (max 3·16+15 = 63) inside the smallest (8-bit) model width, as

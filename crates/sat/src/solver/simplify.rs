@@ -43,28 +43,30 @@ const SIMPLIFY_FAILPOINT: &str = "sat::simplify";
 /// subsumption loops.
 const POLL_INTERVAL: usize = 64;
 
-/// Tuning knobs for preprocessing. The defaults are conservative enough
-/// for the tiny CNFs of unit tests and effective on the multiplier-heavy
+/// Extra clauses a single elimination may add beyond the clauses it
+/// removes.
+const BVE_GROW: usize = 8;
+
+/// Skip variables whose positive × negative occurrence product exceeds this
+/// (resolvent generation is quadratic in the occurrence counts).
+const BVE_OCC_PRODUCT: usize = 2000;
+
+/// Abort an elimination that would produce a resolvent longer than this.
+const BVE_MAX_RESOLVENT_LEN: usize = 32;
+
+/// Re-run preprocessing once this many clauses arrived since the last pass
+/// (the first solve always preprocesses).
+const PREPROCESS_MIN_NEW_CLAUSES: usize = 256;
+
+/// Preprocessing settings. The bounds above are conservative enough for
+/// the tiny CNFs of unit tests and effective on the multiplier-heavy
 /// bit-blasted formulas the verifier produces.
 #[derive(Clone, Debug)]
 pub struct SimplifyConfig {
-    /// Master switch; `false` restores the PR-4 textbook solver behavior.
+    /// Master switch for subsumption, self-subsuming resolution and
+    /// bounded variable elimination; `false` restores the textbook solver
+    /// behavior.
     pub enabled: bool,
-    /// Bounded variable elimination (preprocessing).
-    pub bve: bool,
-    /// Subsumption + self-subsuming resolution (preprocessing).
-    pub subsumption: bool,
-    /// Extra clauses a single elimination may add beyond the clauses it
-    /// removes (0 = never grow the database).
-    pub bve_grow: usize,
-    /// Skip variables whose positive × negative occurrence product exceeds
-    /// this (resolvent generation is quadratic in the occurrence counts).
-    pub bve_occ_product: usize,
-    /// Abort an elimination that would produce a resolvent longer than this.
-    pub bve_max_resolvent_len: usize,
-    /// Re-run preprocessing once this many clauses arrived since the last
-    /// pass (the first solve always preprocesses).
-    pub preprocess_min_new_clauses: usize,
     /// Defer a due preprocessing pass until the current solve call has spent
     /// this many conflicts (0 = preprocess eagerly at solve entry). Queries
     /// the existing clause database dispatches in a handful of conflicts
@@ -75,16 +77,7 @@ pub struct SimplifyConfig {
 
 impl Default for SimplifyConfig {
     fn default() -> SimplifyConfig {
-        SimplifyConfig {
-            enabled: true,
-            bve: true,
-            subsumption: true,
-            bve_grow: 8,
-            bve_occ_product: 2000,
-            bve_max_resolvent_len: 32,
-            preprocess_min_new_clauses: 256,
-            preprocess_min_conflicts: 250,
-        }
+        SimplifyConfig { enabled: true, preprocess_min_conflicts: 250 }
     }
 }
 
@@ -259,7 +252,7 @@ impl Solver {
         // proportional term stops an N-clause database from being re-scanned
         // for every few hundred clauses a session query appends.
         self.simp.deferred = false;
-        let threshold = self.simp.cfg.preprocess_min_new_clauses.max(self.db.slots() / 8);
+        let threshold = PREPROCESS_MIN_NEW_CLAUSES.max(self.db.slots() / 8);
         if self.simp.ran_once && self.simp.pending_new < threshold {
             return;
         }
@@ -318,17 +311,15 @@ impl Solver {
                 occs[l.var().index()].push(i as u32);
             }
         }
-        if self.simp.cfg.subsumption {
-            let mut queue: Vec<u32> = (0..self.db.slots())
-                .filter(|&i| {
-                    let m = self.db.meta(i);
-                    (first || i >= self.simp.clause_cursor) && !m.deleted && !m.learnt
-                })
-                .map(|i| i as u32)
-                .collect();
-            self.subsumption_pass(&mut queue, &occs, &mut sigs, budget);
-        }
-        if self.ok && self.simp.cfg.bve && !budget.interrupted() {
+        let mut queue: Vec<u32> = (0..self.db.slots())
+            .filter(|&i| {
+                let m = self.db.meta(i);
+                (first || i >= self.simp.clause_cursor) && !m.deleted && !m.learnt
+            })
+            .map(|i| i as u32)
+            .collect();
+        self.subsumption_pass(&mut queue, &occs, &mut sigs, budget);
+        if self.ok && !budget.interrupted() {
             self.bve_pass(first, &mut occs, &mut sigs, budget);
         }
         self.finish_preprocess();
@@ -484,10 +475,10 @@ impl Solver {
             if total == 0 {
                 continue; // unconstrained: leave it to the search
             }
-            if pos.len() * neg.len() > self.simp.cfg.bve_occ_product {
+            if pos.len() * neg.len() > BVE_OCC_PRODUCT {
                 continue;
             }
-            let limit = total + self.simp.cfg.bve_grow;
+            let limit = total + BVE_GROW;
             let mut resolvents: Vec<Vec<Lit>> = Vec::new();
             let mut within_bounds = true;
             'gen: for &pi in &pos {
@@ -495,9 +486,7 @@ impl Solver {
                     let a = self.db.clause(pi as usize);
                     let b = self.db.clause(ni as usize);
                     if let Some(r) = resolve_on(a, b, v) {
-                        if r.len() > self.simp.cfg.bve_max_resolvent_len
-                            || resolvents.len() == limit
-                        {
+                        if r.len() > BVE_MAX_RESOLVENT_LEN || resolvents.len() == limit {
                             within_bounds = false;
                             break 'gen;
                         }
@@ -682,11 +671,6 @@ impl Solver {
         self.simp.cfg = cfg;
     }
 
-    /// The active preprocessing configuration.
-    pub fn simplify_config(&self) -> &SimplifyConfig {
-        &self.simp.cfg
-    }
-
     /// Exempt `v` from variable elimination. Incremental clients freeze
     /// interface variables they will mention in later clauses or
     /// assumptions; referencing a non-frozen eliminated variable is still
@@ -817,8 +801,7 @@ mod tests {
     fn subsumption_and_strengthening() {
         let mut s = Solver::new();
         let v = vars(&mut s, 4);
-        let cfg = SimplifyConfig { bve: false, ..eager() };
-        s.set_simplify_config(cfg);
+        s.set_simplify_config(eager());
         s.add_clause(&[v[0].pos(), v[1].pos()]);
         s.add_clause(&[v[0].pos(), v[1].pos(), v[2].pos()]); // subsumed
         s.add_clause(&[v[0].pos(), v[1].neg(), v[3].pos()]); // strengthened on v1

@@ -92,11 +92,6 @@ impl SolveSession {
         self.poisoned
     }
 
-    /// Is `t` already part of the committed prefix?
-    pub fn is_committed(&self, t: TermId) -> bool {
-        self.committed_set.contains(&t)
-    }
-
     /// The committed prefix, in commit order.
     pub fn committed(&self) -> &[TermId] {
         &self.committed

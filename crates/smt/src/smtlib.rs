@@ -1,9 +1,8 @@
-//! SMT-LIB 2 printing — for debugging encodings and for cross-checking
-//! queries against external solvers by hand.
+//! SMT-LIB 2 term printing, for debugging encodings: the debug-assertion
+//! model checks and the evaluator's unbound-variable panic print terms
+//! with it.
 
-use crate::sort::Sort;
 use crate::term::{Ctx, Op, TermId};
-use std::collections::HashMap;
 use std::fmt::Write;
 
 /// Render one term as an SMT-LIB 2 s-expression.
@@ -85,33 +84,10 @@ fn sanitize(name: &str) -> String {
     }
 }
 
-/// Render a full `(set-logic …) … (check-sat)` script asserting the given
-/// terms, declaring every free variable.
-pub fn to_script(ctx: &Ctx, assertions: &[TermId]) -> String {
-    let mut out = String::from("(set-logic QF_ABV)\n");
-    let mut declared: HashMap<TermId, ()> = HashMap::new();
-    for &a in assertions {
-        for v in ctx.free_vars(a) {
-            if declared.insert(v, ()).is_none() {
-                let name = term_to_string(ctx, v);
-                let sort = match ctx.sort(v) {
-                    Sort::Bool => "Bool".to_string(),
-                    s => s.to_string(),
-                };
-                let _ = writeln!(out, "(declare-const {name} {sort})");
-            }
-        }
-    }
-    for &a in assertions {
-        let _ = writeln!(out, "(assert {})", term_to_string(ctx, a));
-    }
-    out.push_str("(check-sat)\n");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sort::Sort;
 
     #[test]
     fn renders_sexpr() {
@@ -122,17 +98,6 @@ mod tests {
         let s = term_to_string(&c, t);
         assert!(s.contains("bvadd"));
         assert!(s.contains("(_ bv1 8)"));
-    }
-
-    #[test]
-    fn script_declares_vars() {
-        let mut c = Ctx::new();
-        let x = c.mk_var("x", Sort::BitVec(8));
-        let zero = c.mk_bv_const(0, 8);
-        let a = c.mk_eq(x, zero);
-        let script = to_script(&c, &[a]);
-        assert!(script.contains("(declare-const x (_ BitVec 8))"));
-        assert!(script.contains("(check-sat)"));
     }
 
     #[test]

@@ -707,16 +707,6 @@ impl Ctx {
         self.hashcons(Op::BvSle, &[a, b], Sort::Bool)
     }
 
-    /// Unsigned greater-than (sugar).
-    pub fn mk_bv_ugt(&mut self, a: TermId, b: TermId) -> TermId {
-        self.mk_bv_ult(b, a)
-    }
-
-    /// Unsigned greater-or-equal (sugar).
-    pub fn mk_bv_uge(&mut self, a: TermId, b: TermId) -> TermId {
-        self.mk_bv_ule(b, a)
-    }
-
     /// Zero extension by `by` bits.
     pub fn mk_zero_ext(&mut self, a: TermId, by: u32) -> TermId {
         let w = self.width(a);

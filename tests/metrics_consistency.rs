@@ -20,10 +20,7 @@
 //!    queries.total − queries.discharged_by_rewrite`;
 //! * rung-outcome counters sum to the number of rung records;
 //! * race classification partitions: `races.provable + races.potential ==
-//!   races.reported`;
-//! * qelim counters: with the generalized elimination on (the default) no
-//!   residual formula is ever dropped (`qelim.residual_dropped == 0`), and
-//!   the drop/generalize counters only move when the ladder actually ran.
+//!   races.reported`.
 
 use pug_obs::{validate, EventKind, MetricsRegistry, TraceSink};
 use pugpara::runner::{run_resilient, RunnerOptions};
@@ -158,13 +155,5 @@ fn metrics_agree_with_trace_and_provenance_on_fuzzed_runs() {
         if report.provenance.passes.is_empty() {
             assert_eq!(reported, 0, "{name}: races reported without an aux pass");
         }
-
-        // Qelim counters: the generalized elimination is on by default, so
-        // the legacy residual-drop path must never fire.
-        assert_eq!(
-            snap.counter("qelim.residual_dropped"),
-            0,
-            "{name}: residual dropped while the generalized elimination is enabled"
-        );
     }
 }
