@@ -4,7 +4,6 @@
 //! cancellation token.
 
 use pugpara::equiv::{check_equivalence_nonparam, check_equivalence_param, CheckOptions};
-use pugpara::failpoints::{self, Fault};
 use pugpara::runner::panic_message;
 use pugpara::{KernelUnit, Verdict};
 use pug_ir::{Extent, GpuConfig};
@@ -62,19 +61,8 @@ pub fn run_cell<F>(f: F) -> Outcome
 where
     F: FnOnce() -> Outcome,
 {
-    let result = catch_unwind(AssertUnwindSafe(|| {
-        match failpoints::trip("bench::cell") {
-            // `Panic` unwinds out of `trip` itself, exercising the boundary.
-            Some(Fault::BudgetExhausted) => return Outcome::Timeout,
-            Some(Fault::SpuriousUnknown) => return Outcome::Timeout,
-            _ => {}
-        }
-        f()
-    }));
-    match result {
-        Ok(outcome) => outcome,
-        Err(payload) => Outcome::Crash(panic_message(&*payload)),
-    }
+    catch_unwind(AssertUnwindSafe(f))
+        .unwrap_or_else(|payload| Outcome::Crash(panic_message(&*payload)))
 }
 
 /// Map the paper's thread counts to 2-D transpose blocks: 4 → 2×2,

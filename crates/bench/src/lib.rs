@@ -18,5 +18,5 @@ pub mod observe;
 pub mod tables;
 
 pub use cells::Outcome;
-pub use observe::{explain_corpus, explain_rows, trace_smoke};
+pub use observe::{explain_corpus, explain_rows};
 pub use tables::{render_rows, scaling_rows, table2_rows, table3_rows, TableRow};

@@ -19,7 +19,7 @@ fn cell(label: &str, f: impl FnOnce() -> Outcome) -> (String, Outcome) {
 ///
 /// Columns follow the paper: non-parameterized at n = 4, 8, 16(+C.),
 /// 32(+C.), then parameterized −C. and +C. `quick` limits the grid to the
-/// cheap rows/columns (for `cargo bench` runs on small machines).
+/// cheap rows/columns (`repro-tables --quick`).
 pub fn table2_rows(timeout: Duration, quick: bool) -> Vec<TableRow> {
     let mut rows = Vec::new();
     let transpose_bits: &[u32] = if quick { &[8, 16] } else { &[8, 16, 32] };

@@ -1,13 +1,21 @@
 //! `repro-tables` rejects a bad argument with exit code 2 and the usage
-//! line before it runs anything: an unknown table name, and the deleted
+//! line before it runs anything: an unknown table name, the deleted
 //! wall-clock benchmark flags, whose work the `work_counts` test of the
-//! root package does now.
+//! root package does now, and the deleted smoke modes, whose checks
+//! `cell_faults.rs` and `tests/trace_parity.rs` make now.
 
 use std::process::Command;
 
 #[test]
 fn bad_arguments_exit_2_with_usage() {
-    for args in [&["--table", "foo"], &["--bench-json", "x"], &["--baseline", "x"]] {
+    let cases: [&[&str]; 5] = [
+        &["--table", "foo"],
+        &["--bench-json", "x"],
+        &["--baseline", "x"],
+        &["--fault-injection"],
+        &["--trace", "x"],
+    ];
+    for args in cases {
         let out = Command::new(env!("CARGO_BIN_EXE_repro-tables"))
             .args(args)
             .output()

@@ -23,7 +23,7 @@
 use pug_bench::explain_corpus;
 use pugpara::failpoints::{self, Fault};
 use pugpara::runner::{run_resilient, RunnerOptions};
-use pugpara::{explain_with, ExplainOptions, KernelUnit};
+use pugpara::{explain_report, explain_with, ExplainOptions, KernelUnit};
 use pug_ir::GpuConfig;
 use std::fs;
 use std::path::PathBuf;
@@ -125,7 +125,7 @@ fn param_proof_narrative_matches_golden() {
     let naive = KernelUnit::load(pug_kernels::transpose::NAIVE).unwrap();
     let report =
         run_resilient(&naive, &naive, &GpuConfig::symbolic_2d(8), &RunnerOptions::default());
-    assert!(report.verdict.is_verified(), "{}", report.provenance.render());
+    assert!(report.verdict.is_verified(), "{}", explain_report(&report));
     check_golden("param_proof", &stable(&report)).unwrap();
 }
 
@@ -138,8 +138,8 @@ fn stride_param_proof_narrative_matches_golden() {
     let src = KernelUnit::load(pug_kernels::stride::GRID_STRIDE).unwrap();
     let tgt = KernelUnit::load(pug_kernels::stride::GRID_STRIDE_REASSOC).unwrap();
     let report = run_resilient(&src, &tgt, &GpuConfig::symbolic_1d(8), &RunnerOptions::default());
-    assert!(report.verdict.is_verified(), "{}", report.provenance.render());
-    assert!(report.provenance.soundness_note.is_none(), "{}", report.provenance.render());
+    assert!(report.verdict.is_verified(), "{}", explain_report(&report));
+    assert!(report.provenance.soundness_note.is_none(), "{}", explain_report(&report));
     check_golden("stride_param_proof", &stable(&report)).unwrap();
 }
 
@@ -156,7 +156,7 @@ fn fastbughunt_bug_narrative_matches_golden() {
     let buggy = KernelUnit::load(pug_kernels::transpose::BUGGY_ADDR).unwrap();
     let report =
         run_resilient(&naive, &buggy, &GpuConfig::symbolic_2d(8), &RunnerOptions::default());
-    assert!(report.verdict.is_bug(), "{}", report.provenance.render());
+    assert!(report.verdict.is_bug(), "{}", explain_report(&report));
     check_golden("fastbughunt_bug", &stable(&report)).unwrap();
 }
 
@@ -172,7 +172,7 @@ fn budget_exhausted_narrative_matches_golden() {
     let naive = KernelUnit::load(pug_kernels::transpose::NAIVE).unwrap();
     let report =
         run_resilient(&naive, &naive, &GpuConfig::symbolic_2d(8), &RunnerOptions::default());
-    assert!(report.verdict.is_timeout(), "{}", report.provenance.render());
+    assert!(report.verdict.is_timeout(), "{}", explain_report(&report));
     check_golden("budget_exhausted_unknown", &stable(&report)).unwrap();
 }
 

@@ -30,7 +30,7 @@ use crate::resolve::{CoverageObligation, ResolvedOutput, Resolver, ThreadRef};
 use crate::session::Session;
 use crate::verdict::{BugKind, BugReport, Soundness, Verdict};
 use crate::witness::{self, obligation_check, Coverage};
-use pug_cuda::ast::{BinOp, Builtin, Dim, Expr, Stmt};
+use pug_cuda::ast::{walk_stmts, BinOp, Builtin, Expr, Stmt};
 use pug_cuda::typecheck::VarInfo;
 use pug_ir::{
     align_headers, normalize_header, split_bis, Alignment, BoundConfig, GpuConfig, LoopSpace,
@@ -729,32 +729,18 @@ fn written_in_regions(a: &ParamRegion, b: &ParamRegion) -> Vec<String> {
 
 /// Syntactic check: every assignment to an array in `body` is `+=`.
 fn all_writes_accumulate(body: &[Stmt], unit: &KernelUnit) -> bool {
-    fn walk(stmts: &[Stmt], unit: &KernelUnit, ok: &mut bool) {
-        for s in stmts {
-            match s {
-                Stmt::Assign { lhs, op, .. } => {
-                    let is_array = matches!(
-                        unit.types.vars.get(&lhs.name),
-                        Some(VarInfo::GlobalArray { .. })
-                            | Some(VarInfo::SharedArray { .. })
-                            | Some(VarInfo::LocalArray { .. })
-                    );
-                    if is_array && *op != Some(BinOp::Add) {
-                        *ok = false;
-                    }
-                }
-                Stmt::If { then, els, .. } => {
-                    walk(then, unit, ok);
-                    walk(els, unit, ok);
-                }
-                Stmt::For { body, .. } | Stmt::While { body, .. } => walk(body, unit, ok),
-                _ => {}
-            }
+    walk_stmts(body).all(|s| match s {
+        Stmt::Assign { lhs, op, .. } => {
+            let is_array = matches!(
+                unit.types.vars.get(&lhs.name),
+                Some(VarInfo::GlobalArray { .. })
+                    | Some(VarInfo::SharedArray { .. })
+                    | Some(VarInfo::LocalArray { .. })
+            );
+            !is_array || *op == Some(BinOp::Add)
         }
-    }
-    let mut ok = true;
-    walk(body, unit, &mut ok);
-    ok
+        _ => true,
+    })
 }
 
 /// Names of the scalar kernel parameters of `units` — the only identifiers
@@ -782,8 +768,8 @@ fn lower_config_expr(
     let w = bound.bits;
     let t = match e {
         Expr::Int(n) => sess.ctx.mk_bv_const(*n, w),
-        Expr::Builtin(Builtin::Bdim(d)) => bound.bdim[dim_ix(*d)],
-        Expr::Builtin(Builtin::Gdim(d)) => bound.gdim[dim_ix(*d).min(1)],
+        Expr::Builtin(Builtin::Bdim(d)) => bound.bdim[d.index()],
+        Expr::Builtin(Builtin::Gdim(d)) => bound.gdim[d.index().min(1)],
         // Scalar kernel parameters are sound bounds: the symbolic lowering
         // (`exec.rs`) binds them as free variables by the same name, so
         // `mk_var` here denotes the identical value.
@@ -816,14 +802,6 @@ fn lower_config_expr(
         }
     };
     Ok(t)
-}
-
-fn dim_ix(d: Dim) -> usize {
-    match d {
-        Dim::X => 0,
-        Dim::Y => 1,
-        Dim::Z => 2,
-    }
 }
 
 /// `b` is a non-zero power of two: the conjuncts `b ≠ 0` and
@@ -904,7 +882,7 @@ pub(crate) fn space_constraint(
                 stp,
                 *inclusive,
             );
-            sess.note_qelim_generalized();
+            sess.note_witness_generalized();
             Ok(c)
         }
         other => Err(Error::AlignmentFailed {

@@ -1,7 +1,7 @@
 //! Loading kernels: parse + type-check + array classification.
 
 use crate::error::Error;
-use pug_cuda::ast::Stmt;
+use pug_cuda::ast::{walk_stmts, Stmt};
 use pug_cuda::typecheck::{TypeInfo, VarInfo};
 use pug_cuda::Kernel;
 
@@ -38,47 +38,28 @@ impl KernelUnit {
 
     /// `__shared__` array names declared in the body.
     pub fn shared_arrays(&self) -> Vec<String> {
-        fn walk(stmts: &[Stmt], out: &mut Vec<String>) {
-            for s in stmts {
-                match s {
-                    Stmt::Decl { name, dims, shared: true, .. } if !dims.is_empty() => {
-                        out.push(name.clone());
-                    }
-                    Stmt::If { then, els, .. } => {
-                        walk(then, out);
-                        walk(els, out);
-                    }
-                    Stmt::For { body, .. } | Stmt::While { body, .. } => walk(body, out),
-                    _ => {}
+        walk_stmts(&self.kernel.body)
+            .filter_map(|s| match s {
+                Stmt::Decl { name, dims, shared: true, .. } if !dims.is_empty() => {
+                    Some(name.clone())
                 }
-            }
-        }
-        let mut out = Vec::new();
-        walk(&self.kernel.body, &mut out);
-        out
+                _ => None,
+            })
+            .collect()
     }
 
     /// Names of global arrays the kernel writes (syntactically).
     pub fn written_globals(&self) -> Vec<String> {
-        fn walk(stmts: &[Stmt], types: &TypeInfo, out: &mut Vec<String>) {
-            for s in stmts {
-                match s {
-                    Stmt::Assign { lhs, .. } => {
-                        if matches!(types.vars.get(&lhs.name), Some(VarInfo::GlobalArray { .. })) {
-                            out.push(lhs.name.clone());
-                        }
-                    }
-                    Stmt::If { then, els, .. } => {
-                        walk(then, types, out);
-                        walk(els, types, out);
-                    }
-                    Stmt::For { body, .. } | Stmt::While { body, .. } => walk(body, types, out),
-                    _ => {}
+        let mut out: Vec<String> = walk_stmts(&self.kernel.body)
+            .filter_map(|s| match s {
+                Stmt::Assign { lhs, .. }
+                    if matches!(self.types.vars.get(&lhs.name), Some(VarInfo::GlobalArray { .. })) =>
+                {
+                    Some(lhs.name.clone())
                 }
-            }
-        }
-        let mut out = Vec::new();
-        walk(&self.kernel.body, &self.types, &mut out);
+                _ => None,
+            })
+            .collect();
         out.sort();
         out.dedup();
         out

@@ -233,35 +233,28 @@ pub fn extract_region(
     })
 }
 
-/// Walk the whole kernel body and register the extents of every array
-/// declaration with the machine (extents are configuration expressions).
+/// Register the extents of every multi-dimensional array declaration in
+/// the kernel body with the machine, in statement order (extents are
+/// configuration expressions).
 fn seed_declared_dims<M: Memory>(
     machine: &mut Machine<'_, M>,
     body: &[pug_cuda::Stmt],
     env: &mut Env,
 ) -> Result<(), Error> {
     use pug_cuda::Stmt;
-    for s in body {
-        match s {
-            Stmt::Decl { name, dims, .. } if dims.len() > 1 => {
-                let w = machine.cfg.bits;
-                let mut ds = Vec::with_capacity(dims.len());
-                let tru = machine.ctx.mk_true();
-                for d in dims {
-                    let v = machine.eval(d, env, tru)?;
-                    ds.push(v.as_bv(machine.ctx, w));
-                }
-                machine.seed_array_dims(name, ds);
-            }
-            Stmt::If { then, els, .. } => {
-                seed_declared_dims(machine, then, env)?;
-                seed_declared_dims(machine, els, env)?;
-            }
-            Stmt::For { body, .. } | Stmt::While { body, .. } => {
-                seed_declared_dims(machine, body, env)?;
-            }
-            _ => {}
+    for s in pug_cuda::ast::walk_stmts(body) {
+        let Stmt::Decl { name, dims, .. } = s else { continue };
+        if dims.len() < 2 {
+            continue;
         }
+        let w = machine.cfg.bits;
+        let mut ds = Vec::with_capacity(dims.len());
+        let tru = machine.ctx.mk_true();
+        for d in dims {
+            let v = machine.eval(d, env, tru)?;
+            ds.push(v.as_bv(machine.ctx, w));
+        }
+        machine.seed_array_dims(name, ds);
     }
     Ok(())
 }

@@ -167,37 +167,6 @@ pub struct Provenance {
     pub passes: Vec<PassRecord>,
 }
 
-impl Provenance {
-    /// Multi-line rendering for logs / the benchmark harness.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        for r in &self.rungs {
-            out.push_str(&format!(
-                "  {:<16} {:>8.2}s  {}\n",
-                r.rung.to_string(),
-                r.elapsed.as_secs_f64(),
-                r.outcome
-            ));
-        }
-        match &self.answered_by {
-            Some(r) => out.push_str(&format!("  answered by {r}")),
-            None => out.push_str("  no rung answered"),
-        }
-        if let Some(n) = &self.soundness_note {
-            out.push_str(&format!("\n  note: {n}"));
-        }
-        for p in &self.passes {
-            out.push_str(&format!(
-                "\n  pass {:<12} {:>8.2}s  {}",
-                p.pass,
-                p.elapsed.as_secs_f64(),
-                p.summary
-            ));
-        }
-        out
-    }
-}
-
 /// Verdict plus provenance: the runner's result.
 #[derive(Clone, Debug)]
 pub struct ResilientReport {
@@ -607,7 +576,7 @@ mod tests {
             &GpuConfig::symbolic_2d(8),
             &RunnerOptions::default(),
         );
-        assert!(report.verdict.is_verified(), "{}", report.provenance.render());
+        assert!(report.verdict.is_verified(), "{}", crate::explain_report(&report));
         assert_eq!(report.provenance.answered_by, Some(Rung::Param));
         assert!(report.provenance.soundness_note.is_none());
     }
@@ -637,7 +606,8 @@ mod tests {
         // clauses in every aux pass and discharges obligations by
         // rewriting on the rungs and in the passes.
         let (base, base_epochs) = run(RunnerOptions::default());
-        assert_eq!(base.provenance.answered_by, Some(Rung::Param), "{}", base.provenance.render());
+        let explained = crate::explain_report(&base);
+        assert_eq!(base.provenance.answered_by, Some(Rung::Param), "{explained}");
         assert_eq!(base.provenance.passes.len(), 3);
         assert!(base_epochs > 0);
         for p in &base.provenance.passes {

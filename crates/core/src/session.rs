@@ -141,14 +141,14 @@ impl Session {
     }
 
     /// A coverage obligation was discharged by a witness correspondence.
-    pub(crate) fn note_qelim_witnessed(&mut self) {
-        self.metrics.incr("qelim.witnessed");
+    pub(crate) fn note_witness_proved(&mut self) {
+        self.metrics.incr("witness.proved");
     }
 
     /// The affine witness or a symbolic-stride membership constraint made
     /// a residual obligation quantifier-free.
-    pub(crate) fn note_qelim_generalized(&mut self) {
-        self.metrics.incr("qelim.generalized");
+    pub(crate) fn note_witness_generalized(&mut self) {
+        self.metrics.incr("witness.generalized");
     }
 
     /// A race report was classified ([`crate::verdict::RaceClass`]).

@@ -9,7 +9,7 @@
 //! them universally quantified in the validity check (paper §III).
 
 use crate::error::Error;
-use pug_cuda::ast::{Expr, Stmt};
+use pug_cuda::ast::{walk_stmts, Expr, Stmt};
 use pug_cuda::typecheck::TypeInfo;
 use pug_ir::{BoundConfig, Env, Machine, StoreMemory};
 use pug_smt::{Ctx, Sort, TermId};
@@ -17,22 +17,12 @@ use std::collections::HashMap;
 
 /// Collect the expressions of all `postcond` statements in a body.
 pub fn collect_postconds(body: &[Stmt]) -> Vec<Expr> {
-    fn walk(stmts: &[Stmt], out: &mut Vec<Expr>) {
-        for s in stmts {
-            match s {
-                Stmt::Postcond { cond, .. } => out.push(cond.clone()),
-                Stmt::If { then, els, .. } => {
-                    walk(then, out);
-                    walk(els, out);
-                }
-                Stmt::For { body, .. } | Stmt::While { body, .. } => walk(body, out),
-                _ => {}
-            }
-        }
-    }
-    let mut out = Vec::new();
-    walk(body, &mut out);
-    out
+    walk_stmts(body)
+        .filter_map(|s| match s {
+            Stmt::Postcond { cond, .. } => Some(cond.clone()),
+            _ => None,
+        })
+        .collect()
 }
 
 /// Evaluate postcondition expressions against final array terms. Reads go

@@ -123,9 +123,9 @@ fn discharge(
 ) -> Coverage {
     match sess.query(&label(kind), premises, cover) {
         SmtResult::Unsat => {
-            sess.note_qelim_witnessed();
+            sess.note_witness_proved();
             if matches!(kind, WitnessKind::Affine) {
-                sess.note_qelim_generalized();
+                sess.note_witness_generalized();
             }
             Coverage::Proven
         }

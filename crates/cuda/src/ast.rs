@@ -17,12 +17,12 @@ pub enum Dim {
 }
 
 impl Dim {
-    /// Lower-case dimension letter.
-    pub fn letter(self) -> char {
+    /// Position of the dimension in an `[x, y, z]` array.
+    pub fn index(self) -> usize {
         match self {
-            Dim::X => 'x',
-            Dim::Y => 'y',
-            Dim::Z => 'z',
+            Dim::X => 0,
+            Dim::Y => 1,
+            Dim::Z => 2,
         }
     }
 }
@@ -166,6 +166,29 @@ pub enum Stmt {
     Postcond { cond: Expr, span: Span },
     /// Empty statement.
     Nop,
+}
+
+/// Every statement of `stmts` and of the blocks nested in them, in
+/// pre-order: a statement comes before its blocks, an `if`'s then-branch
+/// before its else-branch, and a loop's body right after the loop. A `for`
+/// loop's init and update statements are not visited.
+pub fn walk_stmts(stmts: &[Stmt]) -> impl Iterator<Item = &Stmt> {
+    let mut stack = vec![stmts.iter()];
+    std::iter::from_fn(move || loop {
+        let Some(s) = stack.last_mut()?.next() else {
+            stack.pop();
+            continue;
+        };
+        match s {
+            Stmt::If { then, els, .. } => {
+                stack.push(els.iter());
+                stack.push(then.iter());
+            }
+            Stmt::For { body, .. } | Stmt::While { body, .. } => stack.push(body.iter()),
+            _ => {}
+        }
+        return Some(s);
+    })
 }
 
 /// Kernel parameter kinds.

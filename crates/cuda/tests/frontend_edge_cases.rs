@@ -1,7 +1,7 @@
 //! Front-end edge cases beyond the unit tests: operator corner cases,
 //! diagnostics quality, and the exact paper listings.
 
-use pug_cuda::ast::{BinOp, Expr, Stmt};
+use pug_cuda::ast::{walk_stmts, BinOp, Expr, Stmt};
 use pug_cuda::{check_kernel, parse_expr, parse_kernel, parse_program};
 
 #[test]
@@ -88,6 +88,25 @@ fn dangling_else_binds_inner() {
     assert!(els.is_empty(), "else must bind to the inner if");
     let Stmt::If { els: inner_els, .. } = &then[0] else { panic!() };
     assert_eq!(inner_els.len(), 1);
+}
+
+#[test]
+fn walk_stmts_is_pre_order_and_skips_for_headers() {
+    let src = "void k(int *d) {
+        if (tid.x < 1) { d[0] = 1; } else { d[1] = 2; }
+        for (int i = 0; i < 2; i = i + 5) { d[i] = 3; }
+        d[2] = 4;
+    }";
+    let k = parse_kernel(src).unwrap();
+    let visited: Vec<String> = walk_stmts(&k.body)
+        .map(|s| match s {
+            Stmt::If { .. } => "if".to_string(),
+            Stmt::For { .. } => "for".to_string(),
+            Stmt::Assign { rhs: Expr::Int(v), .. } => v.to_string(),
+            other => format!("{other:?}"),
+        })
+        .collect();
+    assert_eq!(visited, ["if", "1", "2", "for", "3", "4"]);
 }
 
 #[test]

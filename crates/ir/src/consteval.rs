@@ -2,7 +2,7 @@
 //! headers when unrolling loops that contain barriers (the non-parameterized
 //! path needs fully concrete iteration counts).
 
-use pug_cuda::ast::{BinOp, Builtin, Dim, Expr, UnOp};
+use pug_cuda::ast::{BinOp, Builtin, Expr, UnOp};
 use pug_smt::sort::{mask, to_signed, truncate};
 use std::collections::HashMap;
 
@@ -46,8 +46,8 @@ impl ConstEnv {
             Expr::Bool(b) => u64::from(*b),
             Expr::Ident(name) => *self.vars.get(name)?,
             Expr::Builtin(b) => match b {
-                Builtin::Bdim(d) => self.bdim[dim_ix(*d)]?,
-                Builtin::Gdim(d) => self.gdim[dim_ix(*d).min(1)]?,
+                Builtin::Bdim(d) => self.bdim[d.index()]?,
+                Builtin::Gdim(d) => self.gdim[d.index().min(1)]?,
                 Builtin::Tid(_) | Builtin::Bid(_) => return None,
             },
             Expr::Index { .. } => return None,
@@ -141,14 +141,6 @@ impl ConstEnv {
             }
         };
         Some(v & mask(w))
-    }
-}
-
-fn dim_ix(d: Dim) -> usize {
-    match d {
-        Dim::X => 0,
-        Dim::Y => 1,
-        Dim::Z => 2,
     }
 }
 

@@ -16,7 +16,7 @@
 
 use crate::config::BoundConfig;
 use crate::error::IrError;
-use pug_cuda::ast::{BinOp, Builtin, Dim, Expr, LValue, Stmt, UnOp};
+use pug_cuda::ast::{BinOp, Builtin, Expr, LValue, Stmt, UnOp};
 use pug_cuda::typecheck::{TypeInfo, VarInfo};
 use pug_smt::{Ctx, Sort, TermId};
 use std::collections::HashMap;
@@ -557,18 +557,11 @@ impl<'a, M: Memory> Machine<'a, M> {
     }
 
     fn builtin_term(&self, b: Builtin, env: &Env) -> TermId {
-        fn dim_ix(d: Dim) -> usize {
-            match d {
-                Dim::X => 0,
-                Dim::Y => 1,
-                Dim::Z => 2,
-            }
-        }
         match b {
-            Builtin::Tid(d) => env.tid[dim_ix(d)],
-            Builtin::Bid(d) => env.bid[dim_ix(d).min(1)],
-            Builtin::Bdim(d) => self.cfg.bdim[dim_ix(d)],
-            Builtin::Gdim(d) => self.cfg.gdim[dim_ix(d).min(1)],
+            Builtin::Tid(d) => env.tid[d.index()],
+            Builtin::Bid(d) => env.bid[d.index().min(1)],
+            Builtin::Bdim(d) => self.cfg.bdim[d.index()],
+            Builtin::Gdim(d) => self.cfg.gdim[d.index().min(1)],
         }
     }
 

@@ -13,7 +13,7 @@ use crate::config::GpuConfig;
 use crate::consteval::ConstEnv;
 use crate::error::IrError;
 use crate::structure::{split_bis, unroll_barrier_loops};
-use pug_cuda::ast::{BinOp, Builtin, Dim, Expr, LValue, Stmt, UnOp};
+use pug_cuda::ast::{BinOp, Builtin, Expr, LValue, Stmt, UnOp};
 use pug_cuda::typecheck::{TypeInfo, VarInfo};
 use pug_cuda::Kernel;
 use pug_smt::sort::{mask, to_signed, truncate};
@@ -443,19 +443,11 @@ impl Interp<'_> {
             crate::Extent::Sym => unreachable!("config checked concrete"),
         };
         match b {
-            Builtin::Tid(d) => self.thread.tid[dim_ix(d)],
-            Builtin::Bid(d) => self.thread.bid[dim_ix(d).min(1)],
-            Builtin::Bdim(d) => ext(self.cfg.bdim[dim_ix(d)]),
-            Builtin::Gdim(d) => ext(self.cfg.gdim[dim_ix(d).min(1)]),
+            Builtin::Tid(d) => self.thread.tid[d.index()],
+            Builtin::Bid(d) => self.thread.bid[d.index().min(1)],
+            Builtin::Bdim(d) => ext(self.cfg.bdim[d.index()]),
+            Builtin::Gdim(d) => ext(self.cfg.gdim[d.index().min(1)]),
         }
-    }
-}
-
-fn dim_ix(d: Dim) -> usize {
-    match d {
-        Dim::X => 0,
-        Dim::Y => 1,
-        Dim::Z => 2,
     }
 }
 

@@ -3,19 +3,12 @@
 
 use crate::consteval::ConstEnv;
 use crate::error::IrError;
-use pug_cuda::ast::{Expr, LValue, Stmt};
+use pug_cuda::ast::{walk_stmts, Expr, LValue, Stmt};
 use pug_cuda::token::Span;
 
 /// Does this statement (recursively) contain a `__syncthreads()`?
 pub fn contains_barrier(s: &Stmt) -> bool {
-    match s {
-        Stmt::Barrier { .. } => true,
-        Stmt::If { then, els, .. } => {
-            then.iter().any(contains_barrier) || els.iter().any(contains_barrier)
-        }
-        Stmt::For { body, .. } | Stmt::While { body, .. } => body.iter().any(contains_barrier),
-        _ => false,
-    }
+    walk_stmts(std::slice::from_ref(s)).any(|s| matches!(s, Stmt::Barrier { .. }))
 }
 
 /// Top-level structure of a kernel body for the parameterized encoder:

@@ -7,7 +7,7 @@
 //! parser bounds its nesting depth, so a hostile line cannot overflow the
 //! stack of the thread that reads it, and it runs in time linear in its
 //! input. Object keys keep insertion order, so rendered documents are
-//! byte-stable — the load driver compares service verdicts against
+//! byte-stable — the serve tests compare service verdicts against
 //! in-process verdicts textually.
 
 use std::fmt::Write as _;

@@ -12,9 +12,9 @@
 //!   histograms fed by the SAT core (conflicts, propagations, learnt
 //!   clauses, restarts), the SMT layer (session epochs, Ackermann selects,
 //!   CNF size, cache hits) and the runner (rung outcomes, CA instantiation
-//!   chains, ∀-elimination vs. drop decisions).
+//!   chains, residual obligations proved by a witness thread).
 //! - [`parse_jsonl`] / [`validate`]: round-trip and structural checks for
-//!   trace dumps, used by the CI trace smoke and the property tests.
+//!   trace dumps, used by the trace-parity and metrics-consistency tests.
 //! - [`Json`]: the workspace's one JSON codec. It renders and parses the
 //!   trace JSONL and the `pug-serve` wire protocol.
 //!

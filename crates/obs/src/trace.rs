@@ -18,8 +18,8 @@
 //!
 //! Export is JSONL (one event per line), rendered and parsed by the shared
 //! [`Json`] codec; [`parse_jsonl`] and [`validate`] round-trip and
-//! structurally check a dump so the CI trace smoke and the property tests
-//! can assert well-formedness without external tooling.
+//! structurally check a dump so the trace-parity and metrics-consistency
+//! tests can assert well-formedness without external tooling.
 
 use crate::json::Json;
 use std::fmt;

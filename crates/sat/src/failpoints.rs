@@ -14,7 +14,7 @@
 //!   unconditionally).
 //!
 //! Sites are plain strings namespaced by layer (`sat::solve`,
-//! `smt::check`, `runner::param`, `bench::cell`, …). Tests that arm global
+//! `smt::check`, `runner::param`, …). Tests that arm global
 //! state must use distinct sites (or serialize) since the registry is
 //! process-wide.
 

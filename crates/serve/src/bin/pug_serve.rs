@@ -3,7 +3,6 @@
 //! ```text
 //! pug-serve [--addr 127.0.0.1:7227] [--workers N] [--capacity N]
 //!           [--rung-timeout-ms MS] [--drain-ms MS] [--cache-capacity N]
-//! pug-serve --smoke        # run the CI smoke and exit
 //! ```
 //!
 //! The daemon serves until SIGTERM/SIGINT or a wire `shutdown` request,
@@ -17,30 +16,18 @@ use std::time::Duration;
 fn usage() -> ! {
     eprintln!(
         "usage: pug-serve [--addr HOST:PORT] [--workers N] [--capacity N]\n\
-         \x20                [--rung-timeout-ms MS] [--drain-ms MS] [--cache-capacity N]\n\
-         \x20      pug-serve --smoke"
+         \x20                [--rung-timeout-ms MS] [--drain-ms MS] [--cache-capacity N]"
     );
     std::process::exit(2)
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--smoke") {
-        match pug_serve::smoke::run_smoke() {
-            Ok(()) => return,
-            Err(msg) => {
-                eprintln!("smoke FAILED: {msg}");
-                std::process::exit(1);
-            }
-        }
-    }
-
     let mut addr = "127.0.0.1:7227".to_string();
     let mut cfg = ServeConfig::default();
-    let mut it = args.iter();
+    let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
         let mut value = |name: &str| -> String {
-            it.next().cloned().unwrap_or_else(|| {
+            it.next().unwrap_or_else(|| {
                 eprintln!("{name} requires a value");
                 usage()
             })

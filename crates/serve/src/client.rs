@@ -1,7 +1,7 @@
 //! A small blocking client for the daemon's line protocol, used by the
-//! CLI, the smoke test and the load driver. One connection can pipeline
-//! many jobs; [`Client::recv`] returns responses in arrival order (which
-//! may differ from submission order — match on the echoed `id`).
+//! serve tests. One connection can pipeline many jobs; [`Client::recv`]
+//! returns responses in arrival order (which may differ from submission
+//! order — match on the echoed `id`).
 
 use crate::wire::LineReader;
 use pug_obs::Json;

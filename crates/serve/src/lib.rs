@@ -35,7 +35,6 @@ mod pool;
 pub mod protocol;
 pub mod server;
 pub mod signal;
-pub mod smoke;
 mod wire;
 
 pub use client::{http_metrics, Client};

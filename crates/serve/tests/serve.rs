@@ -1,8 +1,8 @@
 //! End-to-end integration tests for the `pug-serve` daemon: real TCP, real
 //! jobs, real shutdown. Each test boots its own daemon on an ephemeral
-//! port. (Failpoint-based fault injection lives in the `--smoke` binary
-//! path and the `serve_load` example — failpoints are process-global and
-//! these tests run concurrently.)
+//! port. (Failpoints are process-global and these tests run concurrently,
+//! so fault injection through the daemon lives in `serve_faults.rs`, a
+//! test binary of its own.)
 
 use pug_ir::GpuConfig;
 use pug_obs::Json;

@@ -3,8 +3,7 @@
 //! The workspace builds in fully offline environments, so the test suites
 //! cannot pull `rand`/`proptest` from a registry. This crate provides the
 //! small slice of that functionality the suites actually use: a seedable,
-//! deterministic PRNG with range/bool sampling, and a micro-benchmark
-//! timing helper for the `cargo bench` harnesses.
+//! deterministic PRNG with range/bool sampling.
 //!
 //! The generator is SplitMix64 (Steele, Lea & Flood; the seeding generator
 //! of xoshiro): 64-bit state, full-period, passes BigCrush for the scales
@@ -17,7 +16,6 @@
 use std::fs;
 use std::ops::{Range, RangeInclusive};
 use std::path::Path;
-use std::time::{Duration, Instant};
 
 pub mod kernelgen;
 pub use kernelgen::{GenProfile, KernelGen};
@@ -125,19 +123,6 @@ macro_rules! impl_sample_signed {
 
 impl_sample_signed!(i32, i64);
 
-/// Time `iters` runs of `f` and report the mean, for the bench harnesses.
-pub fn bench<F: FnMut()>(label: &str, iters: u32, mut f: F) {
-    // One warm-up run keeps lazy initialization out of the measurement.
-    f();
-    let start = Instant::now();
-    for _ in 0..iters {
-        f();
-    }
-    let total = start.elapsed();
-    let mean = total / iters;
-    println!("{label:<40} {:>12} /iter  ({iters} iters)", format_duration(mean));
-}
-
 /// Compare `actual` with the golden file at `path`, or, when the
 /// `UPDATE_GOLDEN` environment variable is set, write it there. A mismatch
 /// lists every differing line with its expected and actual text.
@@ -181,16 +166,6 @@ fn line_diff(expected: &str, actual: &str) -> String {
         diff.push_str("(the texts differ only in line endings)\n");
     }
     diff
-}
-
-fn format_duration(d: Duration) -> String {
-    if d >= Duration::from_secs(1) {
-        format!("{:.3} s", d.as_secs_f64())
-    } else if d >= Duration::from_millis(1) {
-        format!("{:.3} ms", d.as_secs_f64() * 1e3)
-    } else {
-        format!("{:.1} µs", d.as_secs_f64() * 1e6)
-    }
 }
 
 #[cfg(test)]

@@ -8,7 +8,7 @@
 
 use pugpara::failpoints::{self, Fault};
 use pugpara::runner::{run_resilient, Rung, RungOutcome, RunnerOptions};
-use pugpara::{KernelUnit, Soundness, Verdict};
+use pugpara::{explain_report, KernelUnit, Soundness, Verdict};
 use pug_ir::GpuConfig;
 use pug_sat::CancelToken;
 use std::sync::{Mutex, MutexGuard};
@@ -64,9 +64,9 @@ fn ladder_survives_param_rung_panic() {
     assert!(
         matches!(outcome_of(&report, Rung::Param), RungOutcome::Crashed(_)),
         "Param must be recorded as crashed: {}",
-        report.provenance.render()
+        explain_report(&report)
     );
-    assert!(report.verdict.is_verified(), "{}", report.provenance.render());
+    assert!(report.verdict.is_verified(), "{}", explain_report(&report));
     assert_eq!(report.provenance.answered_by, Some(Rung::NonParam { n: 4 }));
     assert!(
         report.provenance.soundness_note.is_some(),
@@ -87,7 +87,7 @@ fn injected_exhaustion_is_a_rung_timeout() {
         run_resilient(&naive, &naive, &GpuConfig::symbolic_2d(8), &RunnerOptions::default());
 
     assert!(matches!(outcome_of(&report, Rung::Param), RungOutcome::Timeout));
-    assert!(report.verdict.is_verified(), "{}", report.provenance.render());
+    assert!(report.verdict.is_verified(), "{}", explain_report(&report));
     assert_eq!(report.provenance.answered_by, Some(Rung::NonParam { n: 4 }));
 }
 
@@ -109,18 +109,18 @@ fn solver_panic_poisons_every_rung_but_never_aborts() {
     assert!(
         matches!(outcome_of(&report, Rung::Param), RungOutcome::Crashed(_)),
         "{}",
-        report.provenance.render()
+        explain_report(&report)
     );
     match report.provenance.answered_by {
         // A weaker rung got through without SAT: verdict must be downgraded.
         Some(rung) => {
-            assert_ne!(rung, Rung::Param, "{}", report.provenance.render());
+            assert_ne!(rung, Rung::Param, "{}", explain_report(&report));
             assert!(report.provenance.soundness_note.is_some());
             assert!(!report.verdict.is_bug(), "no bug exists in this pair");
         }
         // Or every rung needed the solver: full history, Timeout verdict.
         None => {
-            assert!(report.verdict.is_timeout(), "{}", report.provenance.render());
+            assert!(report.verdict.is_timeout(), "{}", explain_report(&report));
             for r in &report.provenance.rungs {
                 assert!(
                     matches!(
@@ -146,7 +146,7 @@ fn spurious_unknown_descends_then_recovers() {
     {
         let _scope = FaultScope::armed(&[("smt::check", Fault::SpuriousUnknown)]);
         let report = run_resilient(&naive, &naive, &cfg, &RunnerOptions::default());
-        assert!(report.verdict.is_timeout(), "{}", report.provenance.render());
+        assert!(report.verdict.is_timeout(), "{}", explain_report(&report));
         for r in &report.provenance.rungs {
             assert!(
                 matches!(r.outcome, RungOutcome::Timeout | RungOutcome::Skipped(_)),
@@ -173,7 +173,7 @@ fn bug_survives_faulted_upper_rungs() {
     let report =
         run_resilient(&naive, &buggy, &GpuConfig::symbolic_2d(8), &RunnerOptions::default());
 
-    assert!(report.verdict.is_bug(), "{}", report.provenance.render());
+    assert!(report.verdict.is_bug(), "{}", explain_report(&report));
     assert!(matches!(report.provenance.answered_by, Some(Rung::NonParam { .. })));
 }
 
@@ -191,7 +191,7 @@ fn concretized_rung_catches_param_fault() {
         report.provenance.answered_by,
         Some(Rung::ParamConcretized),
         "{}",
-        report.provenance.render()
+        explain_report(&report)
     );
     assert!(matches!(
         report.verdict,
@@ -215,9 +215,9 @@ fn aborted_preprocessing_still_answers_on_param() {
         report.provenance.answered_by,
         Some(Rung::Param),
         "{}",
-        report.provenance.render()
+        explain_report(&report)
     );
-    assert!(report.verdict.is_verified(), "{}", report.provenance.render());
+    assert!(report.verdict.is_verified(), "{}", explain_report(&report));
     assert!(report.provenance.soundness_note.is_none());
 }
 
@@ -234,16 +234,16 @@ fn simplify_panic_is_contained_at_the_rung_boundary() {
     assert!(
         matches!(outcome_of(&report, Rung::Param), RungOutcome::Crashed(_)),
         "{}",
-        report.provenance.render()
+        explain_report(&report)
     );
     match report.provenance.answered_by {
         Some(rung) => {
-            assert_ne!(rung, Rung::Param, "{}", report.provenance.render());
+            assert_ne!(rung, Rung::Param, "{}", explain_report(&report));
             assert!(report.provenance.soundness_note.is_some());
             assert!(!report.verdict.is_bug(), "no bug exists in this pair");
         }
         None => {
-            assert!(report.verdict.is_timeout(), "{}", report.provenance.render());
+            assert!(report.verdict.is_timeout(), "{}", explain_report(&report));
         }
     }
 }
@@ -285,12 +285,12 @@ fn fastbughunt_answers_below_two_faulted_rungs() {
     assert!(
         matches!(outcome_of(&report, Rung::Param), RungOutcome::Crashed(_)),
         "{}",
-        report.provenance.render()
+        explain_report(&report)
     );
     assert!(
         matches!(outcome_of(&report, Rung::NonParam { n: 4 }), RungOutcome::Timeout),
         "{}",
-        report.provenance.render()
+        explain_report(&report)
     );
     assert_eq!(report.provenance.answered_by, Some(Rung::FastBugHunt));
     assert!(matches!(report.verdict, Verdict::Verified(Soundness::UnderApprox)));
@@ -306,12 +306,12 @@ fn cancelled_parent_stops_every_rung() {
     opts.cancel.cancel();
     let report = run_resilient(&naive, &naive, &GpuConfig::symbolic_2d(8), &opts);
 
-    assert!(matches!(report.verdict, Verdict::Timeout), "{}", report.provenance.render());
+    assert!(matches!(report.verdict, Verdict::Timeout), "{}", explain_report(&report));
     assert_eq!(report.provenance.answered_by, None);
     assert!(
         report.provenance.rungs.iter().all(|r| !matches!(r.outcome, RungOutcome::Answered)),
         "{}",
-        report.provenance.render()
+        explain_report(&report)
     );
 }
 
@@ -328,11 +328,11 @@ fn expired_parent_deadline_starts_no_rung() {
     };
     let report = run_resilient(&naive, &naive, &GpuConfig::symbolic_2d(8), &opts);
 
-    assert!(matches!(report.verdict, Verdict::Timeout), "{}", report.provenance.render());
+    assert!(matches!(report.verdict, Verdict::Timeout), "{}", explain_report(&report));
     assert!(
         report.provenance.rungs.iter().all(|r| matches!(r.outcome, RungOutcome::Skipped(_))),
         "{}",
-        report.provenance.render()
+        explain_report(&report)
     );
 }
 
@@ -368,7 +368,7 @@ fn rung_deadline_never_cancels_the_parent() {
     assert!(
         matches!(outcome_of(&report, Rung::Param), RungOutcome::Timeout),
         "{}",
-        report.provenance.render()
+        explain_report(&report)
     );
     assert!(!opts.cancel.is_cancelled(), "a rung deadline cancelled the parent token");
 }
@@ -387,12 +387,12 @@ fn cancelled_parent_stops_the_aux_passes() {
     let started = Instant::now();
     let report = run_resilient(&src, &tgt, &GpuConfig::symbolic_1d(32), &opts);
 
-    assert_eq!(report.provenance.passes.len(), 3, "{}", report.provenance.render());
+    assert_eq!(report.provenance.passes.len(), 3, "{}", explain_report(&report));
     for p in &report.provenance.passes {
         assert!(p.elapsed < Duration::from_secs(5), "{} took {:?}", p.pass, p.elapsed);
     }
     let race = &report.provenance.passes[0];
     assert_eq!(race.pass, "race");
-    assert!(race.summary.contains("timeout"), "{}", report.provenance.render());
+    assert!(race.summary.contains("timeout"), "{}", explain_report(&report));
     assert!(started.elapsed() < Duration::from_secs(10), "took {:?}", started.elapsed());
 }

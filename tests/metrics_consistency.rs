@@ -20,11 +20,14 @@
 //!    queries.total − queries.discharged_by_rewrite`;
 //! * rung-outcome counters sum to the number of rung records;
 //! * race classification partitions: `races.provable + races.potential ==
-//!   races.reported`.
+//!   races.reported`;
+//! * `witness.proved` == the number of `coverage[..]` and
+//!   `read-coverage[..]` queries whose outcome is valid (a witness thread
+//!   was proved to write the cell).
 
 use pug_obs::{validate, EventKind, MetricsRegistry, TraceSink};
 use pugpara::runner::{run_resilient, RunnerOptions};
-use pugpara::KernelUnit;
+use pugpara::{explain_report, KernelUnit};
 use pug_ir::GpuConfig;
 use pug_testutil::KernelGen;
 
@@ -38,6 +41,7 @@ fn fuzz_cfg() -> GpuConfig {
 
 #[test]
 fn metrics_agree_with_trace_and_provenance_on_fuzzed_runs() {
+    let mut witnesses_proved = 0;
     for i in 0..100u64 {
         // Split the budget over both grammars; odd runs turn the auxiliary
         // passes on so their queries are covered by the invariant too.
@@ -98,7 +102,7 @@ fn metrics_agree_with_trace_and_provenance_on_fuzzed_runs() {
             total as usize,
             in_rungs + in_passes,
             "{name}: provenance lost queries\n{}",
-            report.provenance.render()
+            explain_report(&report)
         );
 
         // Outcome counters partition the total; cache hits count as valid.
@@ -139,7 +143,7 @@ fn metrics_agree_with_trace_and_provenance_on_fuzzed_runs() {
             rung_total as usize,
             report.provenance.rungs.len(),
             "{name}: rung counters != ladder records\n{}",
-            report.provenance.render()
+            explain_report(&report)
         );
 
         // Race classification partitions the reported races (the aux race
@@ -155,5 +159,27 @@ fn metrics_agree_with_trace_and_provenance_on_fuzzed_runs() {
         if report.provenance.passes.is_empty() {
             assert_eq!(reported, 0, "{name}: races reported without an aux pass");
         }
+
+        // Every proved witness is one valid coverage query, cached and
+        // rewritten proofs included.
+        let proved_coverage = report
+            .provenance
+            .rungs
+            .iter()
+            .flat_map(|r| &r.stats)
+            .chain(report.provenance.passes.iter().flat_map(|p| &p.stats))
+            .filter(|q| {
+                (q.label.starts_with("coverage[") || q.label.starts_with("read-coverage["))
+                    && q.outcome.starts_with("valid")
+            })
+            .count() as u64;
+        assert_eq!(
+            snap.counter("witness.proved"),
+            proved_coverage,
+            "{name}: witness.proved != valid coverage queries\n{}",
+            explain_report(&report)
+        );
+        witnesses_proved += proved_coverage;
     }
+    assert!(witnesses_proved > 0, "no run proved a witness, so the witness invariant held vacuously");
 }

@@ -7,14 +7,15 @@
 //! rung. The property is checked on the real kernel corpus, on fuzzed
 //! kernels (basic and extended grammar), and under deterministic fault
 //! injection — and every recorded trace must also validate structurally
-//! (balanced spans, strictly increasing sequence), even when rungs panic.
+//! (balanced spans, strictly increasing sequence), even when rungs panic,
+//! and its JSONL export must parse back to a trace of the same shape.
 //!
 //! Failpoints are process-global, so every test serializes on one lock.
 
-use pug_obs::{validate, MetricsRegistry, TraceSink};
+use pug_obs::{parse_jsonl, validate, MetricsRegistry, TraceSink};
 use pugpara::failpoints::{self, Fault};
 use pugpara::runner::{run_resilient, ResilientReport, RungOutcome, RunnerOptions};
-use pugpara::{KernelUnit, Soundness, Verdict};
+use pugpara::{explain_report, KernelUnit, Soundness, Verdict};
 use pug_ir::GpuConfig;
 use pug_testutil::KernelGen;
 use std::sync::{Mutex, MutexGuard};
@@ -74,7 +75,8 @@ fn fingerprint(r: &ResilientReport) -> String {
 }
 
 /// Run a pair twice — sink disabled, then recording — and demand equal
-/// fingerprints. Returns the recorded sink for structural validation.
+/// fingerprints, a valid recorded trace and a JSONL export that parses
+/// back to the same shape. Returns the recorded sink.
 fn assert_parity(
     name: &str,
     src: &KernelUnit,
@@ -93,12 +95,16 @@ fn assert_parity(
         fingerprint(&plain),
         fingerprint(&traced),
         "{name}: tracing changed the result\nuntraced:\n{}\ntraced:\n{}",
-        plain.provenance.render(),
-        traced.provenance.render()
+        explain_report(&plain),
+        explain_report(&traced)
     );
     let summary = validate(&sink.events())
         .unwrap_or_else(|e| panic!("{name}: recorded trace is structurally broken: {e}"));
     assert!(summary.spans > 0, "{name}: traced run recorded no spans");
+    assert!(!sink.is_truncated(), "{name}: the trace overflowed its event cap");
+    let parsed = parse_jsonl(&sink.to_jsonl())
+        .unwrap_or_else(|e| panic!("{name}: the JSONL export does not parse back: {e}"));
+    assert_eq!(validate(&parsed), Ok(summary), "{name}: the JSONL round trip changed the trace");
     sink
 }
 
@@ -233,7 +239,7 @@ fn traces_stay_balanced_when_rungs_panic() {
         .iter()
         .filter(|r| matches!(r.outcome, RungOutcome::Crashed(_)))
         .count();
-    assert!(crashed > 0, "panic fault did not reach any rung:\n{}", report.provenance.render());
+    assert!(crashed > 0, "panic fault did not reach any rung:\n{}", explain_report(&report));
     let summary = validate(&sink.events())
         .unwrap_or_else(|e| panic!("trace unbalanced after panics: {e}"));
     assert!(summary.spans > 0);
