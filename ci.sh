@@ -4,8 +4,10 @@
 # among them:
 #   tests/work_counts.rs             work counts equal tests/golden/work_counts.txt;
 #                                    backend agreement, the Param rung rows and the
-#                                    cache gains are checked in code, so
-#                                    re-recording cannot accept their loss
+#                                    canonicalization gains (the share of queries
+#                                    answered without a solve, cache hits plus
+#                                    rewrite discharges, grows) are checked in
+#                                    code, so re-recording cannot accept their loss
 #   tests/fault_injection.rs         the ladder's per-rung faults and cancellation
 #   tests/race_witness_replay.rs     every race called provable replays
 #   tests/normalize_differential.rs  normalize on and off agree

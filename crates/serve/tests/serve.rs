@@ -21,12 +21,14 @@ fn boot(cfg: &ServeConfig) -> ServerHandle {
     start(cfg, "127.0.0.1:0").expect("daemon binds an ephemeral port")
 }
 
-/// A deterministically *heavy* pair: proving 32-bit multiplication
-/// distributivity is a classically hard SAT instance (minutes, not
-/// milliseconds), so every rung runs until its deadline or a cancel.
-/// Distributivity — unlike associativity or commutativity — is *not* an
-/// AC rearrangement, so the canonicalization pass cannot discharge it by
-/// rewriting and the obligation genuinely reaches the SAT solver.
+/// A deterministically *heavy* pair: `(a+b)·c` against
+/// `(a|b)·c + (a&b)·c` at 32 bits. The two are equal because
+/// `a + b = (a|b) + (a&b)`, but `|` and `&` are atoms to the rewrite
+/// discharge, so the obligation reaches the SAT solver, where the 32-bit
+/// multipliers make it a hard instance: every rung runs until its deadline
+/// or a cancel (on a 2-CPU machine each rung ran out a 10 s budget).
+/// Plain distributivity, `a·c + b·c`, would not do: it is a polynomial
+/// identity, which the rewrite discharge proves without a SAT call.
 fn mul_dist_request(id: &str, timeout_ms: u64) -> Json {
     const SRC: &str = r#"
 __global__ void mulDist(int *d, int *a, int *b, int *c, int n) {
@@ -40,7 +42,7 @@ __global__ void mulDist(int *d, int *a, int *b, int *c, int n) {
 __global__ void mulDist(int *d, int *a, int *b, int *c, int n) {
     int i = blockIdx.x * blockDim.x + threadIdx.x;
     if (i < n) {
-        d[i] = a[i] * c[i] + b[i] * c[i];
+        d[i] = (a[i] | b[i]) * c[i] + (a[i] & b[i]) * c[i];
     }
 }
 "#;

@@ -40,15 +40,35 @@
 //!   x<<n`, `x+0 → x`, `x^x → 0`, pairwise commutative ordering) re-fires
 //!   on every rebuilt node.
 //!
-//! On top of the per-term pass, [`facts_refute`] does one round of bounded
-//! fact propagation across a whole assert set: asserted conjuncts (and
-//! constants pinned by asserted equalities) are substituted into the
-//! negated goal, so obligations that follow *syntactically* from their
-//! premises collapse to `⊥` and are discharged with **zero SAT calls**.
+//! On top of the per-term pass, [`facts_refute`] discharges an obligation
+//! with **zero SAT calls** when one round of fact propagation across its
+//! whole assert set refutes the negated goal. Two rules decide it:
+//!
+//! * **Equality substitution.** Asserted conjuncts become `⊤`, and the
+//!   sides of asserted equalities join a union-find whose classes are
+//!   rewritten to one representative: the class's constant, or else its
+//!   variable with the smallest `TermId` (a compound side is rewritten to
+//!   its variable's representative). One pass of [`Ctx::substitute`]
+//!   rebuilds the negated goal through the constructors. The matching
+//!   constraints of the parameterized encoding (`k = s.x`, `k = t.x`) make
+//!   `s.x` and `t.x` one variable this way, so both sides of a value
+//!   obligation often become the same term and the goal folds to `⊥`.
+//! * **Polynomial identity.** When the rewritten negated goal is
+//!   `¬(a = b)` over bit-vectors, `a` and `b` are read as polynomials over
+//!   ℤ/2^w: `+ − neg ~ *` and `<<` by a constant are ring operations, and
+//!   every other node is an atom keyed by its `TermId`. Identical
+//!   polynomials make the obligation valid, e.g. `(x+n)·(x−n)` against
+//!   `x·x − n·n`. A polynomial holds at most 64 monomials, each of
+//!   degree at most 64.
+//!
+//! The polynomial form is only compared, never built as a term, so a query
+//! these rules leave open reaches the fingerprint, the cache and the
+//! blaster with exactly the asserts it had before.
 
 use crate::term::{Ctx, Op, TermId};
 use pug_sat::failpoints;
-use std::collections::{HashMap, HashSet};
+use std::collections::btree_map::Entry;
+use std::collections::{BTreeMap, HashMap, HashSet};
 
 /// Counters for one normalizer's lifetime (one verification session).
 #[derive(Clone, Copy, Debug, Default)]
@@ -391,15 +411,23 @@ fn flush_run(ctx: &Ctx, run: &mut Vec<(TermId, TermId)>, out: &mut Vec<(TermId, 
 }
 
 /// One round of bounded fact propagation across an assert set: does the
-/// premise set *syntactically* refute `neg_goal`?
+/// premise set refute `neg_goal` without a SAT call?
 ///
-/// Facts are the premises' top-level conjuncts. Every fact is true in
-/// every model of the set, so substituting `fact → ⊤` (and `g → ⊥` for a
-/// fact `¬g`, and `x → c` for a fact `x = c`) into the remaining asserts
-/// preserves their value in every model. If the negated goal collapses to
-/// `⊥` under that substitution — or the facts contradict each other
-/// outright — the whole set is unsatisfiable and the obligation is valid
-/// with zero SAT calls.
+/// Facts are the premises' top-level conjuncts, and every fact holds in
+/// every model of the set. Facts join terms into classes whose members are
+/// equal in every such model: a fact joins `⊤`, the `g` of a fact `¬g`
+/// joins `⊥`, and the two sides of a fact `a = b` join each other. A
+/// class's representative is its constant, or else its variable with the
+/// smallest `TermId` (a class of compound terms alone has none), and one
+/// pass of [`Ctx::substitute`] rewrites every other member to it. The
+/// rewritten negated goal has the value of `neg_goal` in every model of
+/// the set, so the set is unsatisfiable, and the obligation valid, when
+///
+/// * a class holds two different constants (the facts contradict each
+///   other);
+/// * the rewritten negated goal folds to `⊥` in the constructors; or
+/// * it is `¬(a = b)` over bit-vectors and `a` and `b` are the same
+///   polynomial over ℤ/2^w (see the module doc).
 ///
 /// Returns `true` only on a *definite* refutation; `false` means "solve
 /// it", never "satisfiable".
@@ -414,52 +442,219 @@ pub fn facts_refute(ctx: &mut Ctx, premises: &[TermId], neg_goal: TermId) -> boo
     }
     let tru = ctx.mk_true();
     let fls = ctx.mk_false();
+    let mut classes = Classes::default();
     // Split conjunctions into individual facts.
-    let mut facts: Vec<TermId> = Vec::new();
     let mut work: Vec<TermId> = premises.to_vec();
     while let Some(f) = work.pop() {
         match ctx.op(f) {
             Op::And => work.extend(ctx.args(f).iter().copied()),
             Op::True => {}
-            _ => facts.push(f),
-        }
-    }
-    // fact → ⊤, ¬g → g ↦ ⊥, x = const → x ↦ const. A conflicting binding
-    // is a direct premise contradiction: refuted.
-    let mut map: HashMap<TermId, TermId> = HashMap::new();
-    let bind = |map: &mut HashMap<TermId, TermId>, k: TermId, v: TermId| -> bool {
-        match map.insert(k, v) {
-            Some(old) => old != v,
-            None => false,
-        }
-    };
-    for &f in &facts {
-        if bind(&mut map, f, tru) {
-            return true;
-        }
-        match ctx.op(f) {
-            Op::Not => {
-                let g = ctx.args(f)[0];
-                if bind(&mut map, g, fls) {
-                    return true;
-                }
-            }
-            Op::Eq => {
-                let (a, b) = (ctx.args(f)[0], ctx.args(f)[1]);
-                match (is_const(ctx, a), is_const(ctx, b)) {
-                    (true, false) if bind(&mut map, b, a) => return true,
-                    (false, true) if bind(&mut map, a, b) => return true,
+            op => {
+                classes.union(f, tru);
+                match op {
+                    Op::Not => classes.union(ctx.args(f)[0], fls),
+                    Op::Eq => classes.union(ctx.args(f)[0], ctx.args(f)[1]),
                     _ => {}
                 }
             }
-            _ => {}
         }
     }
-    if map.is_empty() {
+    let Some(map) = classes.bindings(ctx) else {
+        return true;
+    };
+    let propagated = if map.is_empty() { neg_goal } else { ctx.substitute(neg_goal, &map) };
+    ctx.const_bool(propagated) == Some(false) || ring_identity(ctx, propagated)
+}
+
+/// Union-find over the terms that facts equate; [`Classes::bindings`]
+/// picks each class's representative.
+#[derive(Default)]
+struct Classes {
+    parent: HashMap<TermId, TermId>,
+}
+
+impl Classes {
+    fn find(&mut self, t: TermId) -> TermId {
+        let mut root = *self.parent.entry(t).or_insert(t);
+        while self.parent[&root] != root {
+            root = self.parent[&root];
+        }
+        let mut cur = t;
+        while cur != root {
+            cur = self.parent.insert(cur, root).expect("a visited term is a member");
+        }
+        root
+    }
+
+    fn union(&mut self, a: TermId, b: TermId) {
+        let (ra, rb) = (self.find(a), self.find(b));
+        self.parent.insert(ra.max(rb), ra.min(rb));
+    }
+
+    /// Every member's representative, or `None` when a class holds two
+    /// different constants. Representatives are constants, else variables;
+    /// members of a class that has neither are left alone.
+    fn bindings(mut self, ctx: &Ctx) -> Option<HashMap<TermId, TermId>> {
+        // Constants rank first, then variables, each by `TermId`.
+        let rank = |t: TermId| match ctx.op(t) {
+            Op::True | Op::False | Op::BvConst { .. } => (0, t),
+            Op::Var { .. } => (1, t),
+            _ => (2, t),
+        };
+        let members: Vec<TermId> = self.parent.keys().copied().collect();
+        let mut rep: HashMap<TermId, TermId> = HashMap::new();
+        for &m in &members {
+            let r = rep.entry(self.find(m)).or_insert(m);
+            if rank(m).0 == 0 && rank(*r).0 == 0 && m != *r {
+                return None;
+            }
+            if rank(m) < rank(*r) {
+                *r = m;
+            }
+        }
+        let mut map = HashMap::new();
+        for m in members {
+            let r = rep[&self.find(m)];
+            if m != r && rank(r).0 < 2 {
+                map.insert(m, r);
+            }
+        }
+        Some(map)
+    }
+}
+
+/// Most monomials a polynomial may hold, and the highest degree of one.
+const MAX_MONOMIALS: usize = 64;
+const MAX_DEGREE: usize = 64;
+
+/// A polynomial over ℤ/2^w: each monomial (a sorted multiset of atoms; the
+/// empty one is the constant term) with its non-zero coefficient.
+type Poly = BTreeMap<Vec<TermId>, u64>;
+
+/// Is `neg_goal` the negation of a bit-vector equality `a = b` whose sides
+/// are the same polynomial over ℤ/2^w? Then `a = b` holds under every
+/// assignment. The polynomials are only compared, never built as terms, so
+/// a query this check leaves open reaches the solver unchanged.
+fn ring_identity(ctx: &Ctx, neg_goal: TermId) -> bool {
+    if !matches!(ctx.op(neg_goal), Op::Not) {
         return false;
     }
-    let propagated = ctx.substitute(neg_goal, &map);
-    ctx.const_bool(propagated) == Some(false)
+    let eq = ctx.args(neg_goal)[0];
+    if !matches!(ctx.op(eq), Op::Eq) || !ctx.sort(ctx.args(eq)[0]).is_bv() {
+        return false;
+    }
+    let (a, b) = (ctx.args(eq)[0], ctx.args(eq)[1]);
+    let m = crate::sort::mask(ctx.width(a));
+    let mut memo = HashMap::new();
+    match (polynomial(ctx, a, m, &mut memo), polynomial(ctx, b, m, &mut memo)) {
+        (Some(pa), Some(pb)) => pa == pb,
+        _ => false,
+    }
+}
+
+/// The operands of `t` that are ring operands: all of them for `+ − *`,
+/// the first for `neg`, `~` and `<<` by a constant, none for an atom.
+fn ring_args(ctx: &Ctx, t: TermId) -> &[TermId] {
+    let args = ctx.args(t);
+    match ctx.op(t) {
+        Op::BvAdd | Op::BvSub | Op::BvMul => args,
+        Op::BvNeg | Op::BvNot => &args[..1],
+        Op::BvShl if ctx.const_bv(args[1]).is_some() => &args[..1],
+        _ => &[],
+    }
+}
+
+/// `t` as a polynomial over ℤ/2^w, where `m` is the width's mask, or
+/// `None` when a subterm's polynomial exceeds the size bound. Every node
+/// that is not a ring operation or a constant is an atom keyed by its
+/// `TermId`. Iterative post-order, memoized per DAG node.
+fn polynomial(ctx: &Ctx, t: TermId, m: u64, memo: &mut HashMap<TermId, Poly>) -> Option<Poly> {
+    // `−1` is `m` in the ring, so `−x = m·x` and `~x = −x − 1 = m·x + m`.
+    let minus_one = constant(m, m);
+    let mut stack = vec![t];
+    while let Some(&cur) = stack.last() {
+        if memo.contains_key(&cur) {
+            stack.pop();
+            continue;
+        }
+        let pending: Vec<TermId> =
+            ring_args(ctx, cur).iter().copied().filter(|a| !memo.contains_key(a)).collect();
+        if !pending.is_empty() {
+            stack.extend(pending);
+            continue;
+        }
+        let arg = |i: usize| &memo[&ctx.args(cur)[i]];
+        let atom = || Poly::from([(vec![cur], 1)]);
+        let p = match ctx.op(cur) {
+            Op::BvConst { value, .. } => constant(*value, m),
+            Op::BvAdd => add(arg(0), arg(1), m),
+            Op::BvSub => add(arg(0), &mul(arg(1), &minus_one, m), m),
+            Op::BvNeg => mul(arg(0), &minus_one, m),
+            Op::BvNot => add(&mul(arg(0), &minus_one, m), &minus_one, m),
+            Op::BvMul => mul(arg(0), arg(1), m),
+            Op::BvShl => match ctx.const_bv(ctx.args(cur)[1]) {
+                // `k < w`: the constructor folds wider shifts to zero.
+                Some(k) => mul(arg(0), &constant(1u64 << k, m), m),
+                None => atom(),
+            },
+            _ => atom(),
+        };
+        if p.len() > MAX_MONOMIALS || p.keys().any(|mono| mono.len() > MAX_DEGREE) {
+            return None;
+        }
+        memo.insert(cur, p);
+        stack.pop();
+    }
+    Some(memo[&t].clone())
+}
+
+/// `p + q` over ℤ/2^w.
+fn add(p: &Poly, q: &Poly, m: u64) -> Poly {
+    let mut sum = p.clone();
+    for (mono, &k) in q {
+        accumulate(&mut sum, mono.clone(), k, m);
+    }
+    sum
+}
+
+/// `p · q` over ℤ/2^w.
+fn mul(p: &Poly, q: &Poly, m: u64) -> Poly {
+    let mut product = Poly::new();
+    for (a, &ka) in p {
+        for (b, &kb) in q {
+            let mut mono: Vec<TermId> = a.iter().chain(b).copied().collect();
+            mono.sort_unstable();
+            accumulate(&mut product, mono, ka.wrapping_mul(kb), m);
+        }
+    }
+    product
+}
+
+/// The constant polynomial `c`.
+fn constant(c: u64, m: u64) -> Poly {
+    let mut p = Poly::new();
+    accumulate(&mut p, Vec::new(), c, m);
+    p
+}
+
+/// Add `k · mono` into `p`, dropping the monomial if its coefficient
+/// becomes zero.
+fn accumulate(p: &mut Poly, mono: Vec<TermId>, k: u64, m: u64) {
+    match p.entry(mono) {
+        Entry::Vacant(e) => {
+            if k & m != 0 {
+                e.insert(k & m);
+            }
+        }
+        Entry::Occupied(mut e) => {
+            let c = e.get().wrapping_add(k) & m;
+            if c == 0 {
+                e.remove();
+            } else {
+                *e.get_mut() = c;
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -528,5 +723,129 @@ mod tests {
         assert!(facts_refute(&mut c, &[p, q], ng));
         // p alone does not refute it.
         assert!(!facts_refute(&mut c, &[p], ng));
+    }
+
+    #[test]
+    fn equal_variables_substitute_but_never_contradict() {
+        let mut c = Ctx::new();
+        let [x, y, z, u] = ["x", "y", "z", "u"].map(|n| c.mk_var(n, Sort::BitVec(8)));
+        let arr = c.mk_var("a", Sort::Array { index: 8, elem: 8 });
+        let (xy, xz) = (c.mk_eq(x, y), c.mk_eq(x, z));
+        // x = y ∧ x = z: f(y) = f(z) follows.
+        let (fy, fz) = (c.mk_select(arr, y), c.mk_select(arr, z));
+        let ng = c.mk_neq(fy, fz);
+        assert!(facts_refute(&mut c, &[xy, xz], ng));
+        // Two different variable bindings of x are no contradiction.
+        let tru = c.mk_true();
+        assert!(!facts_refute(&mut c, &[xy, xz], tru));
+        let xu = c.mk_neq(x, u);
+        assert!(!facts_refute(&mut c, &[xy, xz], xu));
+        // A compound side is rewritten to its variable's representative:
+        // y + 1 = z turns (y + 1)·u into z·u.
+        let one = c.mk_bv_const(1, 8);
+        let y1 = c.mk_bv_add(y, one);
+        let y1z = c.mk_eq(y1, z);
+        let (lhs, rhs) = (c.mk_bv_mul(z, u), c.mk_bv_mul(y1, u));
+        let ng = c.mk_neq(lhs, rhs);
+        assert!(facts_refute(&mut c, &[xy, y1z], ng));
+        // x = y = u ∧ y + 1 = z: y + 1 = u is false in every model.
+        let yu = c.mk_eq(y, u);
+        let ng = c.mk_neq(y1, u);
+        assert!(!facts_refute(&mut c, &[xy, y1z, yu], ng));
+    }
+
+    #[test]
+    fn a_class_with_a_constant_maps_its_members_to_it() {
+        let mut c = Ctx::new();
+        let [x, y] = ["x", "y"].map(|n| c.mk_var(n, Sort::BitVec(8)));
+        let [five, six] = [5, 6].map(|v| c.mk_bv_const(v, 8));
+        let (xy, y5, y6) = (c.mk_eq(x, y), c.mk_eq(y, five), c.mk_eq(y, six));
+        // x = y ∧ y = 5 ⊨ x + 1 = 6.
+        let one = c.mk_bv_const(1, 8);
+        let x1 = c.mk_bv_add(x, one);
+        let ng = c.mk_neq(x1, six);
+        assert!(facts_refute(&mut c, &[xy, y5], ng));
+        let tru = c.mk_true();
+        assert!(!facts_refute(&mut c, &[xy, y5], tru));
+        // Two constants in one class: the facts contradict each other.
+        let x6 = c.mk_eq(x, six);
+        assert!(facts_refute(&mut c, &[xy, y5, x6], tru));
+        assert!(facts_refute(&mut c, &[y5, y6], tru));
+    }
+
+    /// `¬(a = b)` with `a` and `b` built over fresh variables of width `w`.
+    fn ring_goal(w: u32, build: impl Fn(&mut Ctx, TermId, TermId) -> (TermId, TermId)) -> bool {
+        let mut c = Ctx::new();
+        let x = c.mk_var("x", Sort::BitVec(w));
+        let y = c.mk_var("y", Sort::BitVec(w));
+        let (a, b) = build(&mut c, x, y);
+        let ng = c.mk_neq(a, b);
+        facts_refute(&mut c, &[], ng)
+    }
+
+    #[test]
+    fn difference_of_squares_is_discharged_at_every_width() {
+        for w in [1, 8, 64] {
+            let discharged = ring_goal(w, |c, x, _| {
+                let one = c.mk_bv_const(1, w);
+                let (xp, xm) = (c.mk_bv_add(x, one), c.mk_bv_sub(x, one));
+                let xx = c.mk_bv_mul(x, x);
+                (c.mk_bv_mul(xp, xm), c.mk_bv_sub(xx, one))
+            });
+            assert!(discharged, "(x+1)·(x−1) = x·x − 1 at width {w}");
+        }
+    }
+
+    #[test]
+    fn a_product_off_by_one_is_not_discharged() {
+        let discharged = ring_goal(8, |c, x, y| {
+            let one = c.mk_bv_const(1, 8);
+            let yx = c.mk_bv_mul(y, x);
+            (c.mk_bv_mul(x, y), c.mk_bv_add(yx, one))
+        });
+        assert!(!discharged, "x·y = y·x + 1 is false");
+    }
+
+    #[test]
+    fn repeated_squaring_stops_at_the_degree_bound() {
+        // x^(2^40) as a DAG of 40 shared squarings: its one monomial would
+        // hold 2^40 atoms, so the check gives up instead.
+        let discharged = ring_goal(8, |c, x, _| {
+            let mut t = x;
+            for _ in 0..40 {
+                t = c.mk_bv_mul(t, t);
+            }
+            let two = c.mk_bv_const(2, 8);
+            (c.mk_bv_mul(t, two), c.mk_bv_add(t, t))
+        });
+        assert!(!discharged);
+    }
+
+    #[test]
+    fn non_ring_operators_stay_atoms() {
+        type Mk = fn(&mut Ctx, TermId, TermId) -> TermId;
+        let ops: [(&str, Mk); 7] = [
+            ("udiv", Ctx::mk_bv_udiv),
+            ("urem", Ctx::mk_bv_urem),
+            ("&", Ctx::mk_bv_and),
+            ("|", Ctx::mk_bv_or),
+            ("^", Ctx::mk_bv_xor),
+            ("<< y", Ctx::mk_bv_shl),
+            (">> y", Ctx::mk_bv_lshr),
+        ];
+        for (name, mk) in ops {
+            let mut c = Ctx::new();
+            let x = c.mk_var("x", Sort::BitVec(8));
+            let y = c.mk_var("y", Sort::BitVec(8));
+            let t = mk(&mut c, x, y);
+            let m = crate::sort::mask(8);
+            let p = polynomial(&c, t, m, &mut HashMap::new());
+            assert_eq!(p, Some(Poly::from([(vec![t], 1)])), "x {name} y is one atom");
+            // Ring operations around the atom still apply.
+            let two = c.mk_bv_const(2, 8);
+            let (t2, tt) = (c.mk_bv_add(t, t), c.mk_bv_mul(t, two));
+            let ng = c.mk_neq(t2, tt);
+            assert!(facts_refute(&mut c, &[], ng), "x {name} y twice");
+        }
     }
 }

@@ -7,10 +7,15 @@
 //! the input under random assignments, (2) be a fixpoint of the pass
 //! (idempotence), and (3) coincide for commuted/reassociated/permuted
 //! twins of the same term.
+//!
+//! The two rules of `facts_refute` are fuzzed the same way: equality
+//! substitution never refutes a premise set that a model satisfies
+//! together with the negated goal, and the polynomial identity check
+//! finds ring-law twins equal, and equal twins evaluate equal.
 
 use pug_smt::eval::eval;
-use pug_smt::normalize::normalize;
-use pug_smt::{Ctx, Env, Sort, TermId, Value};
+use pug_smt::normalize::{facts_refute, normalize};
+use pug_smt::{Ctx, Env, Op, Sort, TermId, Value};
 use pug_testutil::TestRng;
 use std::collections::HashMap;
 
@@ -416,9 +421,218 @@ fn shadowed_writes_are_eliminated() {
 
 fn store_depth(ctx: &Ctx, mut t: TermId) -> usize {
     let mut d = 0;
-    while matches!(ctx.op(t), pug_smt::Op::Store) {
+    while matches!(ctx.op(t), Op::Store) {
         d += 1;
         t = ctx.args(t)[0];
     }
     d
+}
+
+// --- facts_refute: equality substitution ---------------------------------
+
+/// Random premise sets of var = var and compound = var equalities that
+/// hold in a random model, with goals that rename variables to ones the
+/// model makes equal: whenever the model also satisfies the negated goal,
+/// `facts_refute` must not refute the set.
+#[test]
+fn equality_substitution_never_refutes_a_model() {
+    let mut rng = TestRng::seed_from_u64(0xe9_5b);
+    let (mut checked, mut refuted) = (0, 0);
+    for case in 0..CASES {
+        let mut ctx = Ctx::new();
+        let mut vars = mk_vars(&mut ctx);
+        let mut env = random_env(&mut rng, &vars);
+        // A tiny value domain, so that variables often agree.
+        for &v in &vars.bv {
+            env.insert(v, Value::Bv(rng.gen_range(0u64..3), W));
+        }
+        let mut premises = Vec::new();
+        // compound = var: a defined variable takes the compound's value.
+        for i in 0..2 {
+            let c = arb_bv_expr(&mut ctx, &mut rng, &vars, 2, 0.3);
+            let d = ctx.mk_var(&format!("d{i}"), Sort::BitVec(W));
+            env.insert(d, eval(&ctx, c, &env));
+            premises.push(ctx.mk_eq(c, d));
+            vars.bv.push(d);
+        }
+        // var = var, kept when the model makes them equal.
+        for _ in 0..5 {
+            let a = vars.bv[rng.gen_range(0..vars.bv.len())];
+            let b = vars.bv[rng.gen_range(0..vars.bv.len())];
+            if eval(&ctx, a, &env) == eval(&ctx, b, &env) {
+                premises.push(ctx.mk_eq(a, b));
+            }
+        }
+        shuffle(&mut rng, &mut premises);
+        for &p in &premises {
+            assert!(eval(&ctx, p, &env).as_bool(), "case {case}: a premise is false in the model");
+        }
+        // Goal: a term against its copy with variables renamed to ones of
+        // the same value, or against an unrelated term.
+        let lhs = arb_bv_expr(&mut ctx, &mut rng, &vars, 3, 0.3);
+        let rhs = if rng.gen_bool(0.6) {
+            let mut rename = HashMap::new();
+            for &v in &vars.bv {
+                let same: Vec<TermId> = vars
+                    .bv
+                    .iter()
+                    .copied()
+                    .filter(|&u| eval(&ctx, u, &env) == eval(&ctx, v, &env))
+                    .collect();
+                rename.insert(v, same[rng.gen_range(0..same.len())]);
+            }
+            ctx.substitute(lhs, &rename)
+        } else {
+            arb_bv_expr(&mut ctx, &mut rng, &vars, 3, 0.3)
+        };
+        let ng = ctx.mk_neq(lhs, rhs);
+        let discharged = facts_refute(&mut ctx, &premises, ng);
+        if eval(&ctx, ng, &env).as_bool() {
+            checked += 1;
+            assert!(!discharged, "case {case}: refuted a set its model satisfies");
+        }
+        refuted += usize::from(discharged);
+    }
+    assert!(checked >= 20, "only {checked} cases had a model of the negated goal");
+    assert!(refuted >= 20, "only {refuted} cases were refuted: substitution went unexercised");
+}
+
+// --- facts_refute: polynomial identity -----------------------------------
+
+/// A random ring expression: `+ − * neg ~` and `<<` by a constant over
+/// variables, constants and non-ring atoms (`& | ^ udiv`).
+fn arb_ring_expr(ctx: &mut Ctx, rng: &mut TestRng, vars: &Vars, depth: usize) -> TermId {
+    let var = |rng: &mut TestRng| vars.bv[rng.gen_range(0..vars.bv.len())];
+    if depth == 0 || rng.gen_bool(0.2) {
+        return match rng.gen_range(0u32..6) {
+            0 => ctx.mk_bv_const(rng.gen_u64() & 0xff, W),
+            1 => {
+                let (x, y) = (var(rng), var(rng));
+                match rng.gen_range(0u32..4) {
+                    0 => ctx.mk_bv_and(x, y),
+                    1 => ctx.mk_bv_or(x, y),
+                    2 => ctx.mk_bv_xor(x, y),
+                    _ => ctx.mk_bv_udiv(x, y),
+                }
+            }
+            _ => var(rng),
+        };
+    }
+    let a = arb_ring_expr(ctx, rng, vars, depth - 1);
+    match rng.gen_range(0u32..6) {
+        0 => {
+            let b = arb_ring_expr(ctx, rng, vars, depth - 1);
+            ctx.mk_bv_add(a, b)
+        }
+        1 => {
+            let b = arb_ring_expr(ctx, rng, vars, depth - 1);
+            ctx.mk_bv_sub(a, b)
+        }
+        2 => {
+            let b = arb_ring_expr(ctx, rng, vars, depth - 1);
+            ctx.mk_bv_mul(a, b)
+        }
+        3 => ctx.mk_bv_neg(a),
+        4 => ctx.mk_bv_not(a),
+        _ => {
+            let k = ctx.mk_bv_const(rng.gen_range(1u64..W as u64), W);
+            ctx.mk_bv_shl(a, k)
+        }
+    }
+}
+
+/// `t` spelled differently by ring laws over ℤ/2^W: commuted sums,
+/// added-and-subtracted constants, distributed products, coefficients
+/// split into two that wrap around, `−x = ~x + 1`, `~x = −x − 1` and
+/// `x << k = x·2ᵏ⁻¹ + x·2ᵏ⁻¹`. Atoms are kept as they are.
+fn respell(ctx: &mut Ctx, rng: &mut TestRng, t: TermId) -> TermId {
+    let args = ctx.args(t).to_vec();
+    let one = ctx.mk_bv_const(1, W);
+    match ctx.op(t).clone() {
+        Op::BvAdd => {
+            let (a, b) = (respell(ctx, rng, args[0]), respell(ctx, rng, args[1]));
+            let c = ctx.mk_bv_const(rng.gen_u64() & 0xff, W);
+            let (ac, bc) = (ctx.mk_bv_add(a, c), ctx.mk_bv_sub(b, c));
+            ctx.mk_bv_add(bc, ac)
+        }
+        Op::BvSub => {
+            let (a, b) = (respell(ctx, rng, args[0]), respell(ctx, rng, args[1]));
+            let nb = ctx.mk_bv_neg(b);
+            ctx.mk_bv_add(a, nb)
+        }
+        Op::BvMul => {
+            let (a, b) = (respell(ctx, rng, args[0]), respell(ctx, rng, args[1]));
+            if matches!(ctx.op(a), Op::BvAdd) {
+                let (a0, a1) = (ctx.args(a)[0], ctx.args(a)[1]);
+                let (p, q) = (ctx.mk_bv_mul(a0, b), ctx.mk_bv_mul(a1, b));
+                ctx.mk_bv_add(p, q)
+            } else {
+                let k = rng.gen_u64() & 0xff;
+                let (k0, k1) = (ctx.mk_bv_const(k, W), ctx.mk_bv_const(1u64.wrapping_sub(k), W));
+                let (ak0, ak1) = (ctx.mk_bv_mul(a, k0), ctx.mk_bv_mul(a, k1));
+                let (p, q) = (ctx.mk_bv_mul(ak0, b), ctx.mk_bv_mul(ak1, b));
+                ctx.mk_bv_add(p, q)
+            }
+        }
+        Op::BvNeg => {
+            let a = respell(ctx, rng, args[0]);
+            let na = ctx.mk_bv_not(a);
+            ctx.mk_bv_add(na, one)
+        }
+        Op::BvNot => {
+            let a = respell(ctx, rng, args[0]);
+            let na = ctx.mk_bv_neg(a);
+            ctx.mk_bv_sub(na, one)
+        }
+        Op::BvShl if ctx.const_bv(args[1]).is_some() => {
+            let a = respell(ctx, rng, args[0]);
+            let k = ctx.const_bv(args[1]).expect("guarded by the match arm");
+            let half = ctx.mk_bv_const(1 << (k - 1), W);
+            let h = ctx.mk_bv_mul(a, half);
+            ctx.mk_bv_add(h, h)
+        }
+        _ => t,
+    }
+}
+
+/// Random ring-term twins: `b` is `a` respelled by ring laws over ℤ/2^W,
+/// and in half the cases perturbed so that it differs from `a`, by a
+/// constant or by reading a non-ring operator as a ring operator. Every
+/// unperturbed twin is the same polynomial, and whenever `facts_refute`
+/// finds the twins the same polynomial they evaluate equal under random
+/// assignments.
+#[test]
+fn ring_identity_twins_evaluate_equal() {
+    let mut rng = TestRng::seed_from_u64(0x9017);
+    for case in 0..CASES {
+        let mut ctx = Ctx::new();
+        let vars = mk_vars(&mut ctx);
+        let a = arb_ring_expr(&mut ctx, &mut rng, &vars, 3);
+        let mut b = respell(&mut ctx, &mut rng, a);
+        let perturbed = rng.gen_bool(0.5);
+        if perturbed {
+            let (x, y) = (vars.bv[0], vars.bv[1]);
+            let (atom, ring) = match rng.gen_range(0u32..4) {
+                0 => (ctx.mk_bv_const(rng.gen_range(1u64..0x100), W), ctx.mk_bv_const(0, W)),
+                1 => (ctx.mk_bv_xor(x, y), ctx.mk_bv_add(x, y)),
+                2 => (ctx.mk_bv_and(x, y), ctx.mk_bv_mul(x, y)),
+                _ => (ctx.mk_bv_shl(x, y), ctx.mk_bv_mul(x, y)),
+            };
+            let diff = ctx.mk_bv_sub(atom, ring);
+            b = ctx.mk_bv_add(b, diff);
+        }
+        let ng = ctx.mk_neq(a, b);
+        let identical = facts_refute(&mut ctx, &[], ng);
+        assert!(identical || perturbed, "case {case}: ring-law twins are one polynomial");
+        if identical {
+            for _ in 0..ENVS {
+                let env = random_env(&mut rng, &vars);
+                assert_eq!(
+                    eval(&ctx, a, &env),
+                    eval(&ctx, b, &env),
+                    "case {case}: twins found identical evaluate differently"
+                );
+            }
+        }
+    }
 }

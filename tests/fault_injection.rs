@@ -336,8 +336,12 @@ fn expired_parent_deadline_starts_no_rung() {
     );
 }
 
-/// 32-bit multiplication distributivity: every rung of this pair runs far
-/// past a 200 ms budget, so each rung's deadline trips.
+/// `(a+b)·c` against `(a|b)·c + (a&b)·c` at 32 bits: `|` and `&` are
+/// atoms to the rewrite discharge, so the obligation reaches the SAT
+/// solver, and every rung of this pair runs far past a 200 ms budget.
+/// Each rung's deadline trips. (Plain distributivity, `a·c + b·c`, would
+/// not do: the rewrite discharge proves that polynomial identity without
+/// SAT.)
 const MUL_DIST_SRC: &str = r#"
 __global__ void mulDist(int *d, int *a, int *b, int *c, int n) {
     int i = blockIdx.x * blockDim.x + threadIdx.x;
@@ -350,7 +354,7 @@ const MUL_DIST_TGT: &str = r#"
 __global__ void mulDist(int *d, int *a, int *b, int *c, int n) {
     int i = blockIdx.x * blockDim.x + threadIdx.x;
     if (i < n) {
-        d[i] = a[i] * c[i] + b[i] * c[i];
+        d[i] = (a[i] | b[i]) * c[i] + (a[i] & b[i]) * c[i];
     }
 }
 "#;
