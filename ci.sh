@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Repo CI: build, the full test suite, lints, rustdoc and the benchmark's
-# self-test. The `cargo test` step runs every test file once, the gates
-# among them:
+# self-test. The `cargo test` step runs every test file once, with debug
+# assertions, so every satisfiable query's model is checked against the
+# query as posed (the solver gets a class-substituted rewrite of it); the
+# gates among them:
 #   tests/work_counts.rs             work counts equal tests/golden/work_counts.txt;
 #                                    backend agreement, the Param rung rows and the
 #                                    canonicalization gains (the share of queries

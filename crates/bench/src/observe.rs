@@ -19,19 +19,24 @@ struct GridPair {
 }
 
 /// The explain corpus. On the two transpose −C. rows the fully-symbolic
-/// Param rung must run out of its deadline (T.O beyond 8 bits) and the
-/// NonParam(144) fallback is far over any small deadline, so with a
-/// per-rung deadline the ladder burns `2 × rung_timeout` before
-/// NonParam(4) answers. At 8 bits the Param rung answers after 91,986
-/// conflicts, in 6.3–6.7 s on a 2-CPU machine in the release and the test
-/// profile alike: only 1.05–1.11× the 6 s deadline. The remaining rows
-/// answer on the first rung.
+/// Param rung must run out of budget and the NonParam(144) fallback is far
+/// over any small deadline before NonParam(4) answers. A deadline alone
+/// does not pin that ladder: at 8 bits the Param rung answers after about
+/// 92,000 conflicts, in about 6 s on a 2-CPU machine, right at the 6 s
+/// deadline. So every query is also capped at 20,000 conflicts, which the
+/// Param rung reaches in under a second at 8 and 16 bits, while
+/// NonParam(144) still runs out of its deadline and NonParam(4) answers
+/// after a few hundred. The remaining rows answer on the first rung.
 fn grid(quick: bool) -> Vec<GridPair> {
     let load = |s: &str| KernelUnit::load(s).expect("bundled kernel loads");
-    let hard = |timeout_secs: u64| RunnerOptions {
-        rung_timeout: Some(Duration::from_secs(timeout_secs)),
-        fallback_ns: vec![144, 4],
-        ..RunnerOptions::default()
+    let hard = |timeout_secs: u64| {
+        let mut opts = RunnerOptions {
+            rung_timeout: Some(Duration::from_secs(timeout_secs)),
+            fallback_ns: vec![144, 4],
+            ..RunnerOptions::default()
+        };
+        opts.engine.max_conflicts = Some(20_000);
+        opts
     };
     let mut pairs = vec![GridPair {
         name: "Transpose -C. (8b)",
@@ -84,9 +89,9 @@ fn grid(quick: bool) -> Vec<GridPair> {
 
 /// Run every explain-corpus pair through the ladder.
 /// `aux_passes` adds the race/bank-conflict/coalescing passes to each
-/// narrative; the golden snapshot suite runs without them (on the hard
-/// transpose rows their budgeted queries sit near the deadline boundary,
-/// so their summaries are not run-to-run stable).
+/// narrative; the golden snapshot suite runs without them. The passes
+/// share a row's caps, so on the hard transpose rows the race pass runs
+/// out of the 20,000-conflict cap.
 pub fn explain_corpus(quick: bool, aux_passes: bool) -> Vec<(String, ResilientReport)> {
     grid(quick)
         .into_iter()

@@ -9,6 +9,7 @@ use crate::equiv::{Ablation, CheckOptions, EngineConfig, Mode, QueryStat, Report
 use crate::verdict::{Soundness, Verdict};
 use pug_ir::GpuConfig;
 use pug_obs::{MetricsRegistry, TraceSpan};
+use pug_smt::normalize::Propagation;
 use pug_smt::{
     assert_fingerprint, check_detailed_with, Budget, CheckStats, Ctx, SmtResult, SolveSession,
     Sort, TermId,
@@ -235,6 +236,8 @@ impl Session {
     /// premises are subtracted here on the incremental path (they are
     /// permanent clauses in the session), and the cross-rung cache is
     /// consulted on the full concretized assert set before any solving.
+    /// The solver gets the set that fact propagation rewrote over the
+    /// premises' equality classes ([`pug_smt::normalize::propagate`]).
     pub(crate) fn query(&mut self, label: &str, premises: &[TermId], goal: TermId) -> SmtResult {
         let started = Instant::now();
         // Span guard: closes on drop, so a panic unwinding through the
@@ -245,38 +248,41 @@ impl Session {
             None
         };
         let mut asserts: Vec<TermId> = Vec::with_capacity(premises.len() + 1);
-        let mut delta: Vec<TermId> = Vec::new();
         for &p in premises {
-            let committed = self.committed.contains(&p);
             let c = self.concretize(p);
-            let c = self.canon(c);
-            asserts.push(c);
-            if !committed {
-                delta.push(c);
-            }
+            asserts.push(self.canon(c));
         }
         let g = self.concretize(goal);
         let g = self.canon(g);
         let ng = self.ctx.mk_not(g);
         asserts.push(ng);
-        delta.push(ng);
+        let one_shot = self.engine.ablated(Ablation::OneShot);
+        // The facts of committed premises are permanent clauses already: the
+        // incremental delta leaves them out.
+        let fresh = |i: usize| one_shot || !self.committed.contains(&premises[i]);
 
-        // Rewrite discharge: canonicalization plus one round of fact
-        // propagation collapsed the obligation to `⊥` — valid, zero SAT
-        // calls, and no cache traffic (re-deriving it is cheaper than a
-        // lookup would be). An armed `smt::check` failpoint disables the
-        // shortcut: injected SMT-layer faults must hit every query, not
-        // just the ones that happen to need the solver.
-        let rewritten = !self.engine.ablated(Ablation::NoNormalize)
-            && pug_smt::failpoints::check("smt::check").is_none()
-            && pug_smt::normalize::facts_refute(
-                &mut self.ctx,
-                &asserts[..asserts.len() - 1],
-                ng,
-            );
+        // Fact propagation, unless normalization is ablated. An armed
+        // `smt::check` failpoint disables it too: injected SMT-layer faults
+        // must hit every query, not just the ones that need the solver.
+        // When the facts refute the query it is valid with zero SAT calls
+        // and no cache traffic (re-deriving it is cheaper than a lookup
+        // would be); otherwise the solver gets the class-substituted set,
+        // which has exactly the models of `asserts`.
+        let propagation = (!self.engine.ablated(Ablation::NoNormalize)
+            && pug_smt::failpoints::check("smt::check").is_none())
+        .then(|| {
+            pug_smt::normalize::propagate(&mut self.ctx, &asserts[..premises.len()], fresh, ng)
+        });
+        let rewritten = matches!(propagation, Some(Propagation::Refuted));
+        let solved: Vec<TermId> = match propagation {
+            Some(Propagation::Open(set)) => set,
+            _ => {
+                (0..premises.len()).filter(|&i| fresh(i)).map(|i| asserts[i]).chain([ng]).collect()
+            }
+        };
 
-        // Cross-rung cache: the fingerprint covers the full assert set, so
-        // it is identical whichever path (or rung) would solve it.
+        // Cross-rung cache: the fingerprint covers the full original assert
+        // set, so it is identical whichever path (or rung) would solve it.
         let fp = match &self.cache {
             Some(_) if !rewritten => {
                 Some(assert_fingerprint(&self.ctx, &asserts, &mut self.canon_memo))
@@ -301,11 +307,11 @@ impl Session {
         } else if hit {
             (SmtResult::Unsat, CheckStats { cached: true, ..CheckStats::default() })
         } else {
-            let (r, stats) = if self.engine.ablated(Ablation::OneShot) {
+            let (r, stats) = if one_shot {
                 let sat = self.engine.sat_config();
-                check_detailed_with(&mut self.ctx, &asserts, &self.budget, &sat)
+                check_detailed_with(&mut self.ctx, &solved, &self.budget, &sat)
             } else {
-                self.solve.check(&mut self.ctx, &delta, &self.budget)
+                self.solve.check(&mut self.ctx, &solved, &self.budget)
             };
             if let (Some(cache), Some(f)) = (&self.cache, fp) {
                 if r.is_unsat() {
@@ -314,6 +320,18 @@ impl Session {
             }
             (r, stats)
         };
+        // The solver checks its model against the set it was given; this
+        // checks it against the query as posed.
+        #[cfg(debug_assertions)]
+        if let SmtResult::Sat(m) = &r {
+            for &a in &asserts {
+                debug_assert!(
+                    m.eval_bool(&self.ctx, a),
+                    "query {label}: the model does not satisfy {}",
+                    pug_smt::smtlib::term_to_string(&self.ctx, a)
+                );
+            }
+        }
         let outcome = match &r {
             SmtResult::Unsat if rewritten => "valid (rewrite)",
             SmtResult::Unsat if hit => "valid (cached)",

@@ -3,7 +3,8 @@
 //! Bit-vectors are encoded LSB-first as vectors of literals. Circuits:
 //! ripple-carry adders, shift-add multipliers, barrel shifters, restoring
 //! long division (matching SMT-LIB division-by-zero semantics) and
-//! carry-based unsigned comparison.
+//! unsigned comparison as a carry chain of majority gates (the signed
+//! comparisons flip the sign bits and reuse it).
 
 use crate::term::{Ctx, Op, TermId};
 use pug_sat::{Budget, Lit, Solver};
@@ -26,6 +27,10 @@ enum GateKey {
     /// Condition normalized positive (swapping the branches), then-branch
     /// normalized positive (negating the output).
     Mux(Lit, Lit, Lit),
+    /// Operands sorted ascending, at most one of them negative: majority
+    /// is self-dual, so the caller negates all three and the output when
+    /// two or three are.
+    Maj(Lit, Lit, Lit),
 }
 
 /// Incremental bit-blaster bound to one SAT solver instance.
@@ -494,6 +499,51 @@ impl BitBlaster {
         }
     }
 
+    /// `maj(a, b, c)`: true when at least two operands are.
+    fn maj_gate(&mut self, solver: &mut Solver, a: Lit, b: Lit, c: Lit) -> Lit {
+        // A constant operand leaves an OR or an AND of the other two; equal
+        // operands win the vote, and complementary ones cancel.
+        for (x, y, z) in [(a, b, c), (b, c, a), (c, a, b)] {
+            if x == self.lit_true() {
+                return self.or_gate(solver, y, z);
+            }
+            if x == self.lit_false() {
+                return self.and_gate(solver, y, z);
+            }
+            if x == y {
+                return x;
+            }
+            if x == !y {
+                return z;
+            }
+        }
+        let flip = [a, b, c].iter().filter(|l| !l.is_positive()).count() >= 2;
+        let mut ops = if flip { [!a, !b, !c] } else { [a, b, c] };
+        ops.sort_unstable();
+        let key = GateKey::Maj(ops[0], ops[1], ops[2]);
+        let g = match self.gate_cache.get(&key) {
+            Some(&g) => {
+                self.gates_hashconsed += 1;
+                g
+            }
+            None => {
+                let g = self.fresh(solver);
+                let [x, y, z] = ops;
+                for (p, q) in [(x, y), (x, z), (y, z)] {
+                    solver.add_clause(&[!g, p, q]);
+                    solver.add_clause(&[g, !p, !q]);
+                }
+                self.gate_cache.insert(key, g);
+                g
+            }
+        };
+        if flip {
+            !g
+        } else {
+            g
+        }
+    }
+
     fn full_adder(&mut self, solver: &mut Solver, a: Lit, b: Lit, cin: Lit) -> (Lit, Lit) {
         let axb = self.xor_gate(solver, a, b);
         let sum = self.xor_gate(solver, axb, cin);
@@ -571,10 +621,14 @@ impl BitBlaster {
         out
     }
 
-    /// `a < b` unsigned: no carry out of `a + ¬b + 1`.
+    /// `a < b` unsigned: no carry out of `a + ¬b + 1`. Only the carry is
+    /// read, so each bit is one majority gate, not a full adder.
     fn bv_ult(&mut self, solver: &mut Solver, a: &[Lit], b: &[Lit]) -> Lit {
-        let nb: Vec<Lit> = b.iter().map(|&l| !l).collect();
-        let (_, carry) = self.adder(solver, a, &nb, self.lit_true());
+        debug_assert_eq!(a.len(), b.len());
+        let mut carry = self.lit_true();
+        for (&x, &y) in a.iter().zip(b) {
+            carry = self.maj_gate(solver, x, !y, carry);
+        }
         !carry
     }
 
@@ -640,4 +694,85 @@ enum ShiftKind {
     Left,
     LogicalRight,
     ArithRight,
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A fresh solver and blaster with three free operand literals.
+    fn setup() -> (Solver, BitBlaster, [Lit; 3]) {
+        let mut sat = Solver::new();
+        let bb = BitBlaster::new(&mut sat);
+        let ops = [(); 3].map(|_| sat.new_var().pos());
+        (sat, bb, ops)
+    }
+
+    /// The value of `g` under every assignment of the operands, as the
+    /// solver propagates it from the gate clauses alone.
+    fn table(sat: &mut Solver, ops: [Lit; 3], g: Lit) -> Vec<bool> {
+        (0..8u32)
+            .map(|bits| {
+                let assume: Vec<Lit> =
+                    (0..3).map(|i| if bits >> i & 1 == 1 { ops[i] } else { !ops[i] }).collect();
+                assert_eq!(
+                    sat.solve_with(&assume, &Budget::unlimited()),
+                    pug_sat::SolveResult::Sat
+                );
+                sat.model_lit(g)
+            })
+            .collect()
+    }
+
+    fn expected(f: impl Fn(bool, bool, bool) -> bool) -> Vec<bool> {
+        (0..8u32).map(|b| f(b & 1 == 1, b & 2 == 2, b & 4 == 4)).collect()
+    }
+
+    #[test]
+    fn maj_gate_is_majority_with_six_clauses() {
+        let (mut sat, mut bb, [x, y, z]) = setup();
+        let (vars, clauses) = (sat.num_vars(), sat.num_clauses());
+        let g = bb.maj_gate(&mut sat, x, y, z);
+        assert_eq!((sat.num_vars() - vars, sat.num_clauses() - clauses), (1, 6));
+        let maj = |a: bool, b: bool, c: bool| u8::from(a) + u8::from(b) + u8::from(c) >= 2;
+        assert_eq!(table(&mut sat, [x, y, z], g), expected(maj));
+        // One negated operand keeps its own gate.
+        let h = bb.maj_gate(&mut sat, x, !y, z);
+        assert_eq!(table(&mut sat, [x, y, z], h), expected(|a, b, c| maj(a, !b, c)));
+    }
+
+    #[test]
+    fn maj_gate_folds_constant_equal_and_complementary_operands() {
+        let (mut sat, mut bb, [x, y, z]) = setup();
+        let (t, f) = (bb.lit_true(), bb.lit_false());
+        for (i, (a, b, c)) in [(x, y, t), (t, x, y), (y, t, x)].into_iter().enumerate() {
+            let g = bb.maj_gate(&mut sat, a, b, c);
+            assert_eq!(table(&mut sat, [x, y, z], g), expected(|a, b, _| a || b), "⊤ at {i}");
+        }
+        for (a, b, c) in [(x, y, f), (f, x, y), (y, f, x)] {
+            let g = bb.maj_gate(&mut sat, a, b, c);
+            assert_eq!(table(&mut sat, [x, y, z], g), expected(|a, b, _| a && b));
+        }
+        let vars = sat.num_vars();
+        for (a, b, c) in [(x, x, z), (z, x, x), (x, z, x)] {
+            assert_eq!(bb.maj_gate(&mut sat, a, b, c), x, "equal operands win the vote");
+        }
+        for (a, b, c) in [(x, !x, z), (z, x, !x), (!x, z, x)] {
+            assert_eq!(bb.maj_gate(&mut sat, a, b, c), z, "complementary operands cancel");
+        }
+        assert_eq!(sat.num_vars(), vars, "the folds allocate no gate");
+    }
+
+    #[test]
+    fn maj_gate_shares_one_gate_by_self_duality() {
+        let (mut sat, mut bb, [x, y, z]) = setup();
+        let g = bb.maj_gate(&mut sat, x, y, z);
+        let h = bb.maj_gate(&mut sat, !x, y, z);
+        let vars = sat.num_vars();
+        assert_eq!(bb.maj_gate(&mut sat, !z, !y, !x), !g);
+        assert_eq!(bb.maj_gate(&mut sat, x, !y, !z), !h);
+        assert_eq!(bb.maj_gate(&mut sat, z, !x, y), h);
+        assert_eq!(sat.num_vars(), vars, "every spelling reuses a gate");
+        assert_eq!(bb.gates_hashconsed(), 3);
+    }
 }

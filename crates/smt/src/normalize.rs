@@ -40,7 +40,7 @@
 //!   x<<n`, `x+0 → x`, `x^x → 0`, pairwise commutative ordering) re-fires
 //!   on every rebuilt node.
 //!
-//! On top of the per-term pass, [`facts_refute`] discharges an obligation
+//! On top of the per-term pass, [`propagate`] discharges an obligation
 //! with **zero SAT calls** when one round of fact propagation across its
 //! whole assert set refutes the negated goal. Two rules decide it:
 //!
@@ -61,9 +61,16 @@
 //!   `x·x − n·n`. A polynomial holds at most 64 monomials, each of
 //!   degree at most 64.
 //!
-//! The polynomial form is only compared, never built as a term, so a query
-//! these rules leave open reaches the fingerprint, the cache and the
-//! blaster with exactly the asserts it had before.
+//! The polynomial form is only compared, never built as a term. A query
+//! these rules leave open keeps its asserts for the fingerprint and the
+//! cache, but the blaster gets the class-substituted set that
+//! [`propagate`] returns: every fact rebuilt over its arguments'
+//! representatives, one equation per replaced class member, and the
+//! rewritten negated goal. It has exactly the original's models, and
+//! whatever the classes bind to a constant (a unit thread extent's `x = 0`,
+//! through the `a <u 1 → a = 0` fold in [`Ctx::mk_bv_ult`]) is blasted as
+//! that constant, so `blockIdx.x * blockDim.x` over a one-block grid is no
+//! multiplier.
 
 use crate::term::{Ctx, Op, TermId};
 use pug_sat::failpoints;
@@ -410,8 +417,20 @@ fn flush_run(ctx: &Ctx, run: &mut Vec<(TermId, TermId)>, out: &mut Vec<(TermId, 
     out.append(run);
 }
 
-/// One round of bounded fact propagation across an assert set: does the
-/// premise set refute `neg_goal` without a SAT call?
+/// What one round of fact propagation makes of an assert set
+/// `premises ∧ neg_goal` ([`propagate`]).
+#[derive(Debug)]
+pub enum Propagation {
+    /// The facts refute the set: the obligation is valid without SAT.
+    Refuted,
+    /// The set to solve in place of the original. It has exactly the
+    /// original's models, and every term in it is rewritten over the
+    /// classes' representatives.
+    Open(Vec<TermId>),
+}
+
+/// One round of bounded fact propagation across an assert set: refute it
+/// without a SAT call, or rewrite it into the set to blast.
 ///
 /// Facts are the premises' top-level conjuncts, and every fact holds in
 /// every model of the set. Facts join terms into classes whose members are
@@ -421,7 +440,7 @@ fn flush_run(ctx: &Ctx, run: &mut Vec<(TermId, TermId)>, out: &mut Vec<(TermId, 
 /// smallest `TermId` (a class of compound terms alone has none), and one
 /// pass of [`Ctx::substitute`] rewrites every other member to it. The
 /// rewritten negated goal has the value of `neg_goal` in every model of
-/// the set, so the set is unsatisfiable, and the obligation valid, when
+/// the set, so the set is [`Propagation::Refuted`] when
 ///
 /// * a class holds two different constants (the facts contradict each
 ///   other);
@@ -429,41 +448,101 @@ fn flush_run(ctx: &Ctx, run: &mut Vec<(TermId, TermId)>, out: &mut Vec<(TermId, 
 /// * it is `¬(a = b)` over bit-vectors and `a` and `b` are the same
 ///   polynomial over ℤ/2^w (see the module doc).
 ///
-/// Returns `true` only on a *definite* refutation; `false` means "solve
-/// it", never "satisfiable".
-pub fn facts_refute(ctx: &mut Ctx, premises: &[TermId], neg_goal: TermId) -> bool {
-    if ctx.const_bool(neg_goal) == Some(false) {
-        return true;
-    }
-    if premises.iter().any(|&p| ctx.const_bool(p) == Some(false)) {
-        // Contradictory premises: the set is unsat (the obligation holds
+/// Otherwise the [`Propagation::Open`] set holds, in this order, each fact
+/// of a premise `i` with `fresh(i)` rebuilt over its arguments'
+/// representatives, one equation `m′ = rep` for each class member `m`
+/// that has a representative and is not itself a fact (`m′` is `m`
+/// rebuilt the same way), and the rewritten negated goal. Each member is
+/// replaced by a term equal to it in every model of the premises, and the
+/// equations restore the classes, so the set has exactly the original's
+/// models. The facts of the premises without `fresh(i)` are left out: the
+/// caller asserts those premises elsewhere (a committed prefix), and with
+/// them the set again has exactly the original's models.
+pub fn propagate(
+    ctx: &mut Ctx,
+    premises: &[TermId],
+    fresh: impl Fn(usize) -> bool,
+    neg_goal: TermId,
+) -> Propagation {
+    if ctx.const_bool(neg_goal) == Some(false)
+        || premises.iter().any(|&p| ctx.const_bool(p) == Some(false))
+    {
+        // A contradictory premise makes the set unsat (the obligation holds
         // vacuously); the caller surfaces this as a rewrite discharge.
-        return true;
+        return Propagation::Refuted;
     }
     let tru = ctx.mk_true();
     let fls = ctx.mk_false();
     let mut classes = Classes::default();
-    // Split conjunctions into individual facts.
-    let mut work: Vec<TermId> = premises.to_vec();
-    while let Some(f) = work.pop() {
-        match ctx.op(f) {
-            Op::And => work.extend(ctx.args(f).iter().copied()),
-            Op::True => {}
-            op => {
-                classes.union(f, tru);
-                match op {
-                    Op::Not => classes.union(ctx.args(f)[0], fls),
-                    Op::Eq => classes.union(ctx.args(f)[0], ctx.args(f)[1]),
-                    _ => {}
+    // Split conjunctions into individual facts, keeping each fact's premise.
+    let mut facts: Vec<(usize, TermId)> = Vec::new();
+    for (i, &p) in premises.iter().enumerate() {
+        let mut work = vec![p];
+        while let Some(f) = work.pop() {
+            match ctx.op(f) {
+                Op::And => work.extend(ctx.args(f).iter().copied()),
+                Op::True => {}
+                op => {
+                    classes.union(f, tru);
+                    match op {
+                        Op::Not => classes.union(ctx.args(f)[0], fls),
+                        Op::Eq => classes.union(ctx.args(f)[0], ctx.args(f)[1]),
+                        _ => {}
+                    }
+                    facts.push((i, f));
                 }
             }
         }
     }
     let Some(map) = classes.bindings(ctx) else {
-        return true;
+        return Propagation::Refuted;
     };
-    let propagated = if map.is_empty() { neg_goal } else { ctx.substitute(neg_goal, &map) };
-    ctx.const_bool(propagated) == Some(false) || ring_identity(ctx, propagated)
+    let mut memo = HashMap::new();
+    let goal = ctx.substitute_cached(neg_goal, &map, &mut memo);
+    if ctx.const_bool(goal) == Some(false) || ring_identity(ctx, goal) {
+        return Propagation::Refuted;
+    }
+    let mut set = Vec::new();
+    for &(i, f) in &facts {
+        if fresh(i) {
+            set.push(rebuild_over(ctx, f, &map, &mut memo));
+        }
+    }
+    let is_fact: HashSet<TermId> = facts.iter().map(|&(_, f)| f).collect();
+    let mut members: Vec<(TermId, TermId)> =
+        map.iter().map(|(&m, &r)| (m, r)).filter(|(m, _)| !is_fact.contains(m)).collect();
+    members.sort_unstable();
+    for (m, r) in members {
+        let m2 = rebuild_over(ctx, m, &map, &mut memo);
+        set.push(ctx.mk_eq(m2, r));
+    }
+    set.push(goal);
+    Propagation::Open(set)
+}
+
+/// Does one round of fact propagation refute `premises ∧ neg_goal`
+/// ([`propagate`])? `true` only on a *definite* refutation; `false` means
+/// "solve it", never "satisfiable".
+pub fn facts_refute(ctx: &mut Ctx, premises: &[TermId], neg_goal: TermId) -> bool {
+    matches!(propagate(ctx, premises, |_| true, neg_goal), Propagation::Refuted)
+}
+
+/// `t` rebuilt over its arguments' representatives: the substitution
+/// applied below `t`, never to `t` itself (a fact's own binding is `⊤`).
+fn rebuild_over(
+    ctx: &mut Ctx,
+    t: TermId,
+    map: &HashMap<TermId, TermId>,
+    memo: &mut HashMap<TermId, TermId>,
+) -> TermId {
+    let args: Vec<TermId> = ctx.args(t).to_vec();
+    let new: Vec<TermId> = args.iter().map(|&a| ctx.substitute_cached(a, map, memo)).collect();
+    if new == args {
+        t
+    } else {
+        let op = ctx.op(t).clone();
+        ctx.rebuild(&op, &new)
+    }
 }
 
 /// Union-find over the terms that facts equate; [`Classes::bindings`]
@@ -533,8 +612,7 @@ type Poly = BTreeMap<Vec<TermId>, u64>;
 
 /// Is `neg_goal` the negation of a bit-vector equality `a = b` whose sides
 /// are the same polynomial over ℤ/2^w? Then `a = b` holds under every
-/// assignment. The polynomials are only compared, never built as terms, so
-/// a query this check leaves open reaches the solver unchanged.
+/// assignment. The polynomials are only compared, never built as terms.
 fn ring_identity(ctx: &Ctx, neg_goal: TermId) -> bool {
     if !matches!(ctx.op(neg_goal), Op::Not) {
         return false;

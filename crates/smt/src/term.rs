@@ -653,7 +653,9 @@ impl Ctx {
         self.hashcons(Op::BvAshr, &[a, b], Sort::BitVec(w))
     }
 
-    /// Unsigned less-than.
+    /// Unsigned less-than. A unit range is an equality: `a < 1` is
+    /// `a = 0` and `0 < b` is `b ≠ 0`, so the thread-range conjunct of a
+    /// unit extent reaches fact propagation as `x = 0`.
     pub fn mk_bv_ult(&mut self, a: TermId, b: TermId) -> TermId {
         let w = self.bv2(a, b);
         if a == b {
@@ -663,12 +665,17 @@ impl Ctx {
             (Some(x), Some(y)) => return self.mk_bool(x < y),
             (_, Some(0)) => return self.mk_false(),
             (Some(m), _) if m == mask(w) => return self.mk_false(),
+            (_, Some(1)) => {
+                let zero = self.mk_bv_const(0, w);
+                return self.mk_eq(a, zero);
+            }
+            (Some(0), _) => return self.mk_neq(a, b),
             _ => {}
         }
         self.hashcons(Op::BvUlt, &[a, b], Sort::Bool)
     }
 
-    /// Unsigned less-or-equal.
+    /// Unsigned less-or-equal; `a ≤ 0` is `a = 0`.
     pub fn mk_bv_ule(&mut self, a: TermId, b: TermId) -> TermId {
         let w = self.bv2(a, b);
         if a == b {
@@ -678,6 +685,7 @@ impl Ctx {
             (Some(x), Some(y)) => return self.mk_bool(x <= y),
             (Some(0), _) => return self.mk_true(),
             (_, Some(m)) if m == mask(w) => return self.mk_true(),
+            (_, Some(0)) => return self.mk_eq(a, b),
             _ => {}
         }
         self.hashcons(Op::BvUle, &[a, b], Sort::Bool)

@@ -249,3 +249,44 @@ fn arrays_differential() {
         }
     }
 }
+
+/// Every comparison at widths 1–4, exhaustively: `a ⋈ b` for `ult`, `ule`,
+/// `slt` and `sle` between a variable pinned to `a` and a variable pinned
+/// to `b`, and with either operand the constant itself, which reaches the
+/// constructors' folds at 0, 1 and all-ones. The solver must agree with
+/// `eval` in both polarities.
+#[test]
+fn comparisons_agree_with_eval_exhaustively() {
+    type Cmp = fn(&mut Ctx, TermId, TermId) -> TermId;
+    let cmps: [(&str, Cmp); 4] = [
+        ("ult", Ctx::mk_bv_ult),
+        ("ule", Ctx::mk_bv_ule),
+        ("slt", Ctx::mk_bv_slt),
+        ("sle", Ctx::mk_bv_sle),
+    ];
+    let mut ctx = Ctx::new();
+    for w in 1..=4u32 {
+        let x = ctx.mk_var(&format!("x{w}"), Sort::BitVec(w));
+        let y = ctx.mk_var(&format!("y{w}"), Sort::BitVec(w));
+        for a in 0..1u64 << w {
+            for b in 0..1u64 << w {
+                let (ka, kb) = (ctx.mk_bv_const(a, w), ctx.mk_bv_const(b, w));
+                let pins = [ctx.mk_eq(x, ka), ctx.mk_eq(y, kb)];
+                let env = Env::from([(x, Value::Bv(a, w)), (y, Value::Bv(b, w))]);
+                for (name, cmp) in cmps {
+                    for (l, r) in [(x, y), (x, kb), (ka, y)] {
+                        let t = cmp(&mut ctx, l, r);
+                        let holds = pug_smt::eval::eval(&ctx, t, &env).as_bool();
+                        let nt = ctx.mk_not(t);
+                        let (yes, no) = if holds { (t, nt) } else { (nt, t) };
+                        let at = format!("{a} {name} {b} at width {w}");
+                        let r_yes = check(&mut ctx, &[pins[0], pins[1], yes], &Budget::unlimited());
+                        assert!(r_yes.is_sat(), "{at} must read {holds}, got {r_yes:?}");
+                        let r_no = check(&mut ctx, &[pins[0], pins[1], no], &Budget::unlimited());
+                        assert!(r_no.is_unsat(), "{at} must not read {}, got {r_no:?}", !holds);
+                    }
+                }
+            }
+        }
+    }
+}

@@ -11,10 +11,12 @@
 //! The two rules of `facts_refute` are fuzzed the same way: equality
 //! substitution never refutes a premise set that a model satisfies
 //! together with the negated goal, and the polynomial identity check
-//! finds ring-law twins equal, and equal twins evaluate equal.
+//! finds ring-law twins equal, and equal twins evaluate equal. The set
+//! `propagate` hands the solver evaluates like the original set under
+//! every assignment, alone and after a committed prefix.
 
 use pug_smt::eval::eval;
-use pug_smt::normalize::{facts_refute, normalize};
+use pug_smt::normalize::{facts_refute, normalize, propagate, Propagation};
 use pug_smt::{Ctx, Env, Op, Sort, TermId, Value};
 use pug_testutil::TestRng;
 use std::collections::HashMap;
@@ -635,4 +637,115 @@ fn ring_identity_twins_evaluate_equal() {
             }
         }
     }
+}
+
+// --- propagate: the class-substituted set ----------------------------------
+
+/// A random fact: var = var, var = const, compound = var, an unsigned or
+/// signed comparison, a Boolean variable, or the negation `¬g` of one of
+/// them. Constants come from {0, 1, 2}, so that `x <u 1` and `x ≤u 0` fold
+/// to equalities.
+fn arb_fact(ctx: &mut Ctx, rng: &mut TestRng, vars: &Vars, negate: bool) -> TermId {
+    let var = |rng: &mut TestRng| vars.bv[rng.gen_range(0..vars.bv.len())];
+    let f = match rng.gen_range(0u32..6) {
+        0 => {
+            let (a, b) = (var(rng), var(rng));
+            ctx.mk_eq(a, b)
+        }
+        1 => {
+            let (a, k) = (var(rng), ctx.mk_bv_const(rng.gen_range(0u64..3), W));
+            ctx.mk_eq(a, k)
+        }
+        2 => {
+            let c = arb_bv_expr(ctx, rng, vars, 2, 0.3);
+            let a = var(rng);
+            ctx.mk_eq(c, a)
+        }
+        3 => {
+            let a = var(rng);
+            let b = if rng.gen_bool(0.5) {
+                var(rng)
+            } else {
+                ctx.mk_bv_const(rng.gen_range(0u64..3), W)
+            };
+            match rng.gen_range(0u32..3) {
+                0 => ctx.mk_bv_ult(a, b),
+                1 => ctx.mk_bv_ule(a, b),
+                _ => ctx.mk_bv_slt(b, a),
+            }
+        }
+        4 => vars.bools[rng.gen_range(0..vars.bools.len())],
+        _ => {
+            let g = arb_fact(ctx, rng, vars, false);
+            ctx.mk_not(g)
+        }
+    };
+    if negate {
+        ctx.mk_not(f)
+    } else {
+        f
+    }
+}
+
+/// Random premise sets of the facts above (a fifth of them conjunctions of
+/// two), a random negated goal, and a random committed prefix. Under every
+/// assignment the set `propagate` returns evaluates like the original set,
+/// and so does the committed prefix with the delta that leaves its facts
+/// out; a refuted set is false under every assignment.
+#[test]
+fn class_substitution_keeps_every_model() {
+    let mut rng = TestRng::seed_from_u64(0xc1_a55);
+    let (mut open, mut refuted, mut satisfied) = (0, 0, 0);
+    for case in 0..CASES {
+        let mut ctx = Ctx::new();
+        let vars = mk_vars(&mut ctx);
+        let premises: Vec<TermId> = (0..rng.gen_range(1usize..=4))
+            .map(|_| {
+                let f = arb_fact(&mut ctx, &mut rng, &vars, false);
+                if rng.gen_bool(0.2) {
+                    let g = arb_fact(&mut ctx, &mut rng, &vars, false);
+                    ctx.mk_and(f, g)
+                } else {
+                    f
+                }
+            })
+            .collect();
+        let ng = arb_fact(&mut ctx, &mut rng, &vars, true);
+        let committed: Vec<bool> = premises.iter().map(|_| rng.gen_bool(0.5)).collect();
+        let whole = propagate(&mut ctx, &premises, |_| true, ng);
+        let split = propagate(&mut ctx, &premises, |i| !committed[i], ng);
+        let prefix: Vec<TermId> =
+            premises.iter().zip(&committed).filter(|(_, &c)| c).map(|(&p, _)| p).collect();
+        let holds = |env: &Env, set: &[TermId]| set.iter().all(|&t| eval(&ctx, t, env).as_bool());
+        for _ in 0..4 * ENVS {
+            let mut env = random_env(&mut rng, &vars);
+            // A tiny value domain, so that the equalities often hold.
+            for &v in &vars.bv {
+                env.insert(v, Value::Bv(rng.gen_range(0u64..3), W));
+            }
+            let original = holds(&env, &premises) && holds(&env, &[ng]);
+            satisfied += usize::from(original);
+            match (&whole, &split) {
+                (Propagation::Refuted, Propagation::Refuted) => {
+                    assert!(!original, "case {case}: refuted a set the assignment satisfies");
+                }
+                (Propagation::Open(set), Propagation::Open(delta)) => {
+                    assert_eq!(holds(&env, set), original, "case {case}: the rewritten set");
+                    assert_eq!(
+                        holds(&env, &prefix) && holds(&env, delta),
+                        original,
+                        "case {case}: the committed prefix with the delta"
+                    );
+                }
+                _ => panic!("case {case}: the committed prefix changed whether the set is refuted"),
+            }
+        }
+        match whole {
+            Propagation::Refuted => refuted += 1,
+            Propagation::Open(_) => open += 1,
+        }
+    }
+    assert!(open >= 100, "only {open} sets were left open");
+    assert!(refuted >= 10, "only {refuted} sets were refuted");
+    assert!(satisfied >= 100, "only {satisfied} assignments satisfied a set");
 }

@@ -113,7 +113,7 @@ fn assert_parity(
 fn corpus_pairs() -> Vec<(&'static str, KernelUnit, KernelUnit, GpuConfig, RunnerOptions)> {
     let load = |s: &str| KernelUnit::load(s).unwrap();
     // 2 s deadline + concretization: the fully symbolic Param rung times
-    // out (it needs 6.3–6.7 s on a 2-CPU machine, 3.1–3.3x the deadline)
+    // out (it needs 5.6–5.9 s on a 2-CPU machine, 2.8–3.0x the deadline)
     // and "+C." answers, so the deadline path is exercised without
     // dominating the suite.
     let transpose_opts = RunnerOptions::with_rung_timeout(std::time::Duration::from_secs(2))
